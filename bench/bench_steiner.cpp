@@ -150,11 +150,8 @@ void print_table() {
         g_heap_allocs.load(std::memory_order_relaxed) - before;
     std::printf("  %2zu terminals: %6zu allocs/route\n", k, per_route);
   }
-  std::puts("  (scratch reuse, PR 4: the former per-step unordered_set +");
-  std::puts("   source/goal vector rebuilds are gone.  Recorded delta on");
-  std::puts("   this table's workload: 10-terminal nets 7378 -> ~6950");
-  std::puts("   allocs/route (~430 fewer, all of connection_points' share);");
-  std::puts("   remaining allocations belong to the A* line search.)\n");
+  std::puts("  (connection_points reuses scratch buffers, so the remaining");
+  std::puts("   allocations belong to the A* line search.)\n");
 }
 
 void BM_SteinerNet(benchmark::State& state) {

@@ -3,6 +3,9 @@
 // inherited descriptor (the socketpair transport), or — the multi-client
 // mode — over TCP via the epoll front-end (src/net/), all backed by one
 // persistent worker pool and a content-addressed layout-session cache.
+// Every transport runs the same framer and the same per-verb dispatcher
+// (serve::FrameParser, serve::dispatch), so a script answers with the same
+// bytes over a pipe as over TCP.
 //
 //   $ gcr_serve [options]
 //     --workers N      routing worker threads (0 = one per hardware thread)
@@ -40,12 +43,12 @@
 // ROUTE reuses the session's prebuilt obstacle index and escape lines, and
 // `REROUTE <session> nets=a,b` rips the named nets out of a full
 // sequential pass and re-routes them against the committed remainder
-// (incremental halo removal, no environment rebuild).  In TCP mode cold
-// LOADs build on the worker pool, so one giant layout upload cannot stall
-// the other connections.  With --reactors N the kernel shards accepted
+// (incremental halo removal, no environment rebuild).  Cold LOADs build on
+// the worker pool, so in TCP mode one giant layout upload cannot stall the
+// other connections.  With --reactors N the kernel shards accepted
 // connections across N independent epoll loops; all of them feed one
-// worker pool through the weighted-fair queue, so responses are
-// byte-identical to the single-reactor build.  SIGINT/SIGTERM shut down
+// worker pool through the fair queue, so responses are byte-identical to
+// the single-reactor build.  SIGINT/SIGTERM shut down
 // gracefully: every listener closes, in-flight jobs drain and flush, and
 // the loop threads join as a barrier before the final pin snapshots are
 // written (a second signal force-closes lingering connections).

@@ -9,8 +9,8 @@
 #include <string>
 #include <utility>
 
-#include "net/frame_parser.hpp"
 #include "net/socket.hpp"
+#include "serve/frame_parser.hpp"
 
 /// \file connection.hpp
 /// Per-client connection state for the epoll front-end: the incremental
@@ -40,13 +40,14 @@ namespace gcr::net {
 
 class Connection {
  public:
-  Connection(ScopedFd fd, std::uint64_t id, const FrameParser::Options& popts)
+  Connection(ScopedFd fd, std::uint64_t id,
+             const serve::FrameParser::Options& popts)
       : fd_(std::move(fd)), id_(id), parser_(popts),
         cancel_(std::make_shared<std::atomic<bool>>(false)) {}
 
   [[nodiscard]] int fd() const noexcept { return fd_.get(); }
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-  [[nodiscard]] FrameParser& parser() noexcept { return parser_; }
+  [[nodiscard]] serve::FrameParser& parser() noexcept { return parser_; }
   [[nodiscard]] const std::shared_ptr<std::atomic<bool>>& cancel_token()
       const noexcept {
     return cancel_;
@@ -117,8 +118,9 @@ class Connection {
 
   // ---------------------------------- lifecycle flags (event-loop owned)
   bool eof = false;                ///< peer finished sending (read got 0)
-  bool quit = false;               ///< QUIT seen: stop serving commands
-  bool close_after_flush = false;  ///< close once drained
+  /// QUIT or a fatal framing error seen: serve no further commands, close
+  /// once drained.
+  bool close_after_flush = false;
   bool reads_suspended = false;    ///< EPOLLIN currently off
   /// A cold LOAD is building on the worker pool.  Commands behind it park
   /// in `deferred` until its completion lands: a pipelined `LOAD …\nROUTE`
@@ -134,7 +136,7 @@ class Connection {
   /// the peer drains — the backlog bound stays real even against a single
   /// pipelined burst.  Cleared on QUIT/fatal/shutdown (commands after
   /// those are never served).
-  std::deque<FrameParser::Event> deferred;
+  std::deque<serve::FrameParser::Event> deferred;
 
  private:
   static constexpr std::size_t kCompactAt = 64 * 1024;
@@ -199,7 +201,7 @@ class Connection {
 
   ScopedFd fd_;
   std::uint64_t id_;
-  FrameParser parser_;
+  serve::FrameParser parser_;
   std::shared_ptr<std::atomic<bool>> cancel_;
   std::uint64_t next_seq_ = 0;   ///< next ticket to hand out
   std::uint64_t flush_seq_ = 0;  ///< next ticket the write buffer expects

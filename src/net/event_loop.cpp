@@ -53,10 +53,9 @@ struct EventLoop::Mailbox {
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
     std::string frame;
-    /// This completion finishes the connection's offloaded LOAD: drop the
-    /// dispatch barrier so parked commands replay (see
-    /// Connection::load_inflight).
-    bool load = false;
+    /// This completion finishes the connection's LOAD/GEN barrier: drop it
+    /// so parked commands replay (see Connection::load_inflight).
+    bool barrier = false;
     /// A progress chunk (an OPTIMIZE `PASS` line), not the final response:
     /// the ticket stays open — no in-flight decrement, no barrier drop —
     /// and the bytes stream through Connection::progress.  Workers post
@@ -267,7 +266,7 @@ void EventLoop::drain_mailbox() {
       continue;
     }
     conn.job_completed();
-    if (c.load) conn.load_inflight = false;  // barrier down: deferred replay
+    if (c.barrier) conn.load_inflight = false;  // deferred replay
     conn.complete(c.seq, std::move(c.frame));
     settle(c.conn_id);
   }
@@ -276,7 +275,7 @@ void EventLoop::drain_mailbox() {
 void EventLoop::handle_readable(std::uint64_t id) {
   Connection& conn = *conns_.at(id);
   char buf[64 * 1024];
-  std::vector<FrameParser::Event> events;
+  std::vector<serve::FrameParser::Event> events;
   // Fairness bound: a sender faster than our parsing must not monopolize
   // the loop — after a few buffers, fall back to epoll (level-triggered,
   // so the remaining data re-reports immediately) and let other
@@ -290,7 +289,7 @@ void EventLoop::handle_readable(std::uint64_t id) {
       events.clear();
       conn.parser().feed(buf, static_cast<std::size_t>(r), events);
       process_events(conn, events);
-      if (conn.quit || conn.close_after_flush || conn.parser().dead()) {
+      if (conn.close_after_flush || conn.parser().dead()) {
         conn.reads_suspended = true;  // no further commands will be served
         break;
       }
@@ -300,8 +299,8 @@ void EventLoop::handle_readable(std::uint64_t id) {
     if (r == 0) {
       // Peer finished sending.  Possibly a half-close: keep flushing what
       // it is still owed; settle() closes once drained.  The parser may
-      // hold a trailing LF-less command line — the blocking front-end
-      // serves those, so flush and dispatch it for parity.
+      // hold a trailing LF-less command line: flush and dispatch it like
+      // any other.
       conn.eof = true;
       conn.reads_suspended = true;
       events.clear();
@@ -319,11 +318,11 @@ void EventLoop::handle_readable(std::uint64_t id) {
 }
 
 void EventLoop::process_events(Connection& conn,
-                               std::vector<FrameParser::Event>& events,
+                               std::vector<serve::FrameParser::Event>& events,
                                std::size_t from) {
   for (std::size_t i = from; i < events.size(); ++i) {
     // Commands after QUIT or a fatal framing error are never served.
-    if (conn.quit || conn.close_after_flush) break;
+    if (conn.close_after_flush) break;
     const bool backpressured = conn.backlog() > opts_.write_high_water ||
                                conn.inflight() >= opts_.max_inflight;
     if (backpressured || conn.load_inflight) {
@@ -350,259 +349,45 @@ void EventLoop::process_events(Connection& conn,
   }
 }
 
-void EventLoop::dispatch(Connection& conn, FrameParser::Event& ev) {
-  if (ev.kind != FrameParser::EventKind::kCommand) {
-    stats_.commands.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t err_seq = conn.assign_seq();
-    conn.complete(err_seq, serve::format_err(ev.error));
-    if (ev.kind == FrameParser::EventKind::kFatal) {
-      conn.close_after_flush = true;
-      conn.deferred.clear();
-    }
-    return;
-  }
+void EventLoop::dispatch(Connection& conn, serve::FrameParser::Event& ev) {
+  // The connection's side of serve::dispatch: an inline answer completes
+  // the command's response ticket directly; a handed-off command counts as
+  // in flight and its frames post back through the mailbox (see
+  // drain_mailbox), while a LOAD/GEN barrier parks later commands.
+  class Reply final : public serve::Responder {
+   public:
+    Reply(Connection& conn, const std::shared_ptr<Mailbox>& mailbox)
+        : conn_(conn), mailbox_(mailbox), seq_(conn.assign_seq()) {}
 
-  // Classify before taking a response ticket: an unanswered ticket would
-  // wedge the connection's in-order flush pipeline forever, so a line that
-  // produces no response (blank — the parser filters these, defensive)
-  // must not consume one.
-  const serve::ClassifiedCommand cmd = serve::classify_command(ev.line);
-  if (cmd.kind == serve::CommandKind::kBlank) return;
-  stats_.commands.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t seq = conn.assign_seq();
-  // span_parse_us origin: dispatch -> submit covers this front-end's knob
-  // validation and request lowering (a parked command's queueing shows up
-  // in the loop counters, not in its parse span).
-  const auto received = std::chrono::steady_clock::now();
-
-  switch (cmd.kind) {
-    case serve::CommandKind::kBlank:
-      return;  // unreachable; handled above
-    case serve::CommandKind::kQuit:
-      conn.complete(seq, serve::format_ok("bye", ""));
-      conn.quit = true;
-      conn.close_after_flush = true;
-      conn.deferred.clear();
-      return;
-    case serve::CommandKind::kStats:
-      conn.complete(seq, serve::exec_stats(service_));
-      return;
-    case serve::CommandKind::kHello:
-      // Static capability text straight off the verb table; loop-thread
-      // cheap by construction.
-      conn.complete(seq, serve::format_hello(service_.uptime_s()));
-      return;
-    case serve::CommandKind::kTrace: {
-      // A bounded copy of the slow ring (<= 256 small records): loop-thread
-      // cheap, answered inline like STATS.
-      try {
-        conn.complete(seq, serve::exec_trace(
-                               service_, serve::parse_trace_count(cmd.args)));
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-      }
-      return;
+    [[nodiscard]] const std::shared_ptr<std::atomic<bool>>& owner()
+        const override {
+      return conn_.cancel_token();
     }
-    case serve::CommandKind::kLoad: {
-      // Repeat LOADs of resident content answer inline: the probe costs
-      // one content hash — O(body bytes), which the loop pays knowingly;
-      // it is orders of magnitude cheaper than the parse + environment
-      // build and is what keeps the common resident case off the queue.
-      // Cold LOADs go to the worker pool (with the already-computed key,
-      // so the body is hashed exactly once) so a cold-session storm
-      // cannot stall the loop thread; the barrier parks this connection's
-      // later commands until the session exists (pipelined LOAD→ROUTE
-      // must still resolve).
-      std::string key;
-      if (const auto cached = service_.sessions().find_content(ev.body, &key)) {
-        conn.complete(seq, serve::format_load_ok(*cached, true));
-        return;
-      }
-      conn.job_dispatched();
-      conn.load_inflight = true;
-      service_.submit_load(
-          std::move(ev.body), std::move(key), conn.cancel_token(),
-          [mailbox = mailbox_, id = conn.id(),
-           seq](serve::LoadResponse resp) {
-            mailbox->post({id, seq, serve::format_load_response(resp),
-                           /*load=*/true});
-          });
-      return;
+    void answer(std::string frame) override {
+      conn_.complete(seq_, std::move(frame));
     }
-    case serve::CommandKind::kRoute:
-    case serve::CommandKind::kReroute: {
-      serve::RouteCommand rc;
-      try {
-        rc = cmd.kind == serve::CommandKind::kRoute
-                 ? serve::parse_route_command(cmd.args)
-                 : serve::parse_reroute_command(cmd.args);
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      // REROUTE against a pin handle reroutes the pin's own committed
-      // remainder (owner-gated, serialized on the pin's ticket chain)
-      // instead of the shared stateless path.  The registry probe is one
-      // locked map lookup — loop-thread cheap.
-      if (cmd.kind == serve::CommandKind::kReroute &&
-          service_.pins().find(rc.session_key) != nullptr) {
-        serve::PinRequest preq;
-        preq.op = serve::PinRequest::Op::kReroute;
-        preq.key = rc.session_key;
-        preq.nets = rc.nets;
-        preq.wire_halo = rc.opts.wire_halo;
-        preq.owner = conn.cancel_token();
-        conn.job_dispatched();
-        service_.submit_pin(
-            std::move(preq),
-            [mailbox = mailbox_, id = conn.id(),
-             seq](serve::PinResponse resp) {
-              mailbox->post({id, seq,
-                             serve::format_pin_response(
-                                 resp, serve::PinRequest::Op::kReroute)});
-            });
-        return;
-      }
-      serve::RouteRequest req = serve::to_request(rc);
-      req.received = received;
-      req.cancel = conn.cancel_token();
-      conn.job_dispatched();
-      // The callback runs on a worker thread (or inline for fail-fast
-      // statuses): format there — route dumps are the expensive part of a
-      // response and must stay off the loop — then post the finished bytes.
-      service_.submit(std::move(req),
-                      [mailbox = mailbox_, id = conn.id(),
-                       seq](serve::RouteResponse resp) {
-                        mailbox->post({id, seq,
-                                       serve::format_route_response(resp)});
-                      });
-      return;
-    }
-    case serve::CommandKind::kOptimize: {
-      serve::RouteRequest req;
-      try {
-        req = serve::to_request(serve::parse_optimize_command(cmd.args));
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      req.received = received;
-      req.cancel = conn.cancel_token();
-      // Progress lines post as partial completions under the same ticket:
-      // they stream to the client as passes finish, yet still respect
-      // pipelined request order — an OPTIMIZE behind a slow ROUTE parks
-      // its PASS lines with the ticket until the ROUTE's frame flushes.
-      req.progress = [mailbox = mailbox_, id = conn.id(),
-                      seq](const route::OptimizePassStats& stats) {
-        mailbox->post({id, seq, serve::format_pass_progress(stats),
-                       /*load=*/false, /*partial=*/true});
+    serve::ReplySink hand_off(bool barrier) override {
+      conn_.job_dispatched();
+      if (barrier) conn_.load_inflight = true;
+      return [mailbox = mailbox_, id = conn_.id(), seq = seq_, barrier](
+                 std::string text, bool final) {
+        mailbox->post({id, seq, std::move(text), barrier && final, !final});
       };
-      conn.job_dispatched();
-      service_.submit(std::move(req),
-                      [mailbox = mailbox_, id = conn.id(),
-                       seq](serve::RouteResponse resp) {
-                        mailbox->post(
-                            {id, seq, serve::format_optimize_response(resp)});
-                      });
-      return;
     }
-    case serve::CommandKind::kDetail:
-    case serve::CommandKind::kCongest:
-    case serve::CommandKind::kVerify:
-    case serve::CommandKind::kSvg: {
-      const pipeline::StageKind stage_kind =
-          cmd.kind == serve::CommandKind::kDetail
-              ? pipeline::StageKind::kDetail
-          : cmd.kind == serve::CommandKind::kCongest
-              ? pipeline::StageKind::kCongest
-          : cmd.kind == serve::CommandKind::kVerify
-              ? pipeline::StageKind::kVerify
-              : pipeline::StageKind::kSvg;
-      serve::RouteRequest req;
-      try {
-        req = serve::to_request(
-            serve::parse_stage_command(stage_kind, cmd.args));
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      req.received = received;
-      req.cancel = conn.cancel_token();
-      conn.job_dispatched();
-      // Same shape as ROUTE: the stage runs (or its cached result is
-      // fetched) on a worker, the body — possibly a multi-MB SVG — is
-      // formatted there, and the finished frame posts back for the
-      // in-order backpressured flush.
-      service_.submit(std::move(req),
-                      [mailbox = mailbox_, id = conn.id(),
-                       seq](serve::RouteResponse resp) {
-                        mailbox->post({id, seq,
-                                       serve::format_stage_response(resp)});
-                      });
-      return;
+    void close_after() override {
+      conn_.close_after_flush = true;
+      conn_.deferred.clear();  // commands after this one are never served
     }
-    case serve::CommandKind::kGen: {
-      serve::GenCommand gen;
-      try {
-        gen = serve::parse_gen_command(cmd.args);
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      // Synthesis is deterministic but NOT loop-thread cheap: the parse
-      // caps admit cells=4096 with nets=65536, whose per-net shuffles run
-      // for seconds.  It therefore runs on a worker (like the cold LOAD
-      // build), which then feeds the synthesized text through LOAD's exact
-      // path — content probe, session build, cache insert — with the same
-      // ordering barrier for pipelined GEN→ROUTE.
-      conn.job_dispatched();
-      conn.load_inflight = true;
-      service_.submit_gen(
-          [gen] { return serve::generate_workload_text(gen); },
-          conn.cancel_token(),
-          [mailbox = mailbox_, id = conn.id(), seq, kind = gen.kind,
-           service = &service_](serve::LoadResponse resp) {
-            service->record_gen(resp.ok);
-            std::string frame =
-                resp.ok ? serve::format_gen_ok(*resp.session, resp.cache_hit,
-                                               kind)
-                        : serve::format_err(resp.error);
-            mailbox->post({id, seq, std::move(frame), /*load=*/true});
-          });
-      return;
-    }
-    case serve::CommandKind::kPin:
-    case serve::CommandKind::kUnpin:
-    case serve::CommandKind::kCommit:
-    case serve::CommandKind::kUncommit:
-    case serve::CommandKind::kSave: {
-      serve::PinRequest req;
-      try {
-        req = serve::parse_pin_command(cmd.kind, cmd.args);
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      const serve::PinRequest::Op op = req.op;
-      // The connection's cancel token is the pin owner: pointer identity
-      // gates every later mutation, and close_connection's release_pins
-      // call frees the pins when this peer goes away.
-      req.owner = conn.cancel_token();
-      conn.job_dispatched();
-      service_.submit_pin(std::move(req),
-                          [mailbox = mailbox_, id = conn.id(), seq,
-                           op](serve::PinResponse resp) {
-                            mailbox->post(
-                                {id, seq,
-                                 serve::format_pin_response(resp, op)});
-                          });
-      return;
-    }
-    case serve::CommandKind::kUnknown:
-      break;
-  }
-  conn.complete(seq,
-                serve::format_err("unknown command '" + cmd.keyword + "'"));
+
+   private:
+    Connection& conn_;
+    const std::shared_ptr<Mailbox>& mailbox_;
+    std::uint64_t seq_;
+  };
+
+  stats_.commands.fetch_add(1, std::memory_order_relaxed);
+  Reply reply(conn, mailbox_);
+  serve::dispatch(service_, ev, reply);
 }
 
 void EventLoop::settle(std::uint64_t id) {
@@ -644,17 +429,17 @@ void EventLoop::settle(std::uint64_t id) {
     // per command no matter how often the limits interrupt it (a
     // wholesale move-out/re-park here would be quadratic against a large
     // parked burst drained one completion at a time).
-    if (conn.deferred.empty() || conn.quit || conn.close_after_flush ||
+    if (conn.deferred.empty() || conn.close_after_flush ||
         conn.load_inflight ||
         conn.backlog() > opts_.write_high_water / 2 ||
         conn.inflight() >= opts_.max_inflight) {
       break;
     }
-    while (!conn.deferred.empty() && !conn.quit && !conn.close_after_flush &&
+    while (!conn.deferred.empty() && !conn.close_after_flush &&
            !conn.load_inflight &&
            conn.backlog() <= opts_.write_high_water &&
            conn.inflight() < opts_.max_inflight) {
-      FrameParser::Event ev = std::move(conn.deferred.front());
+      serve::FrameParser::Event ev = std::move(conn.deferred.front());
       conn.deferred.pop_front();
       stats_.replayed.fetch_add(1, std::memory_order_relaxed);
       // dispatch may clear the deque (QUIT); ev was moved out already.
@@ -674,8 +459,7 @@ void EventLoop::settle(std::uint64_t id) {
   // when *completions* (not reads) pushed the backlog over the mark: an
   // unread socket then fills the peer's TCP window and stalls the sender
   // itself, which is backpressure all the way down.
-  if (conn.reads_suspended && !conn.eof && !conn.quit &&
-      !conn.close_after_flush && !conn.parser().dead() && !stopping_ &&
+  if (conn.reads_suspended && !conn.eof && !conn.close_after_flush && !conn.parser().dead() && !stopping_ &&
       conn.deferred.empty() && !conn.load_inflight &&
       conn.inflight() < opts_.max_inflight &&
       conn.backlog() <= opts_.write_high_water / 2) {
@@ -770,9 +554,10 @@ void EventLoop::stop() noexcept {}
 void EventLoop::accept_ready(Listener&) {}
 void EventLoop::drain_mailbox() {}
 void EventLoop::handle_readable(std::uint64_t) {}
-void EventLoop::process_events(Connection&, std::vector<FrameParser::Event>&,
+void EventLoop::process_events(Connection&,
+                               std::vector<serve::FrameParser::Event>&,
                                std::size_t) {}
-void EventLoop::dispatch(Connection&, FrameParser::Event&) {}
+void EventLoop::dispatch(Connection&, serve::FrameParser::Event&) {}
 void EventLoop::settle(std::uint64_t) {}
 void EventLoop::close_connection(std::uint64_t, bool) {}
 void EventLoop::begin_shutdown() {}

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "net/connection.hpp"
-#include "net/frame_parser.hpp"
 #include "net/socket.hpp"
+#include "serve/frame_parser.hpp"
 #include "serve/routing_service.hpp"
 #include "serve/trace.hpp"
 
@@ -22,9 +22,10 @@
 ///
 /// Division of labour — the loop thread only ever does cheap things:
 ///   - accept connections and read whatever bytes are available;
-///   - feed the per-connection FrameParser and dispatch completed commands
-///     (ROUTE becomes a worker-pool job via RoutingService::submit's
-///     callback form; STATS/LOAD/errors are answered inline);
+///   - feed the per-connection FrameParser and hand each event to
+///     serve::dispatch, the per-verb handler the blocking front-end shares
+///     (ROUTE becomes a worker-pool job; STATS/resident LOAD/errors are
+///     answered inline);
 ///   - flush write buffers and maintain epoll interest sets.
 /// Routing runs on the pool; a finished job's worker thread formats the
 /// response (the expensive route-dump rendering) and posts it to the
@@ -87,7 +88,7 @@ struct EventLoopOptions {
   /// a ReactorPool member must not — the pool owns the single hook and
   /// renders aggregated `loop_*` plus per-loop `loop<i>_*` shards itself.
   bool register_stats = true;
-  FrameParser::Options parser{};
+  serve::FrameParser::Options parser{};
 };
 
 /// Counters the loop maintains; atomics so tests and monitoring threads can
@@ -190,9 +191,11 @@ class EventLoop {
   /// high-water mark — settle() resumes the parked tail as the peer
   /// drains.
   void process_events(Connection& conn,
-                      std::vector<FrameParser::Event>& events,
+                      std::vector<serve::FrameParser::Event>& events,
                       std::size_t from = 0);
-  void dispatch(Connection& conn, FrameParser::Event& ev);
+  /// Hands one framer event to serve::dispatch with a Responder bound to
+  /// the connection and a fresh response ticket.
+  void dispatch(Connection& conn, serve::FrameParser::Event& ev);
   /// Writes what the socket accepts, applies backpressure marks, updates
   /// epoll interest, and closes the connection when it is done.  The one
   /// place a connection's fate is decided; \p id may be gone afterwards.

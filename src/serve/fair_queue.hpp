@@ -13,12 +13,13 @@
 #include <vector>
 
 /// \file fair_queue.hpp
-/// The weighted-fair successor to BoundedQueue at the service's admission
-/// stage: jobs are keyed (by session, pin handle, or load identity) into
-/// per-key shards and dequeued by deficit round-robin, so a session
-/// saturating the service with work no longer starves every other session
-/// behind it in a single FIFO — each live shard gets `weight` dequeues per
-/// ring round regardless of how deep its neighbors are.
+/// The fair successor to BoundedQueue at the service's admission stage:
+/// jobs are keyed (by session, pin handle, or load identity) into per-key
+/// shards and dequeued round-robin across shards (deficit round-robin with
+/// a quantum of one job), so a session saturating the service with work no
+/// longer starves every other session behind it in a single FIFO — each
+/// live shard gets one dequeue per ring round regardless of how deep its
+/// neighbors are.
 ///
 /// What is preserved from BoundedQueue, because the service's correctness
 /// leans on it:
@@ -34,11 +35,9 @@
 ///
 /// Shards are created on first push and retired when they drain empty, so
 /// the map never outgrows the set of keys with work actually queued.
-/// Weights persist across retirement in a side table (set_weight is an
-/// operator/test knob; the default weight is 1 = plain round-robin).
 ///
 /// Starvation is observable, not just bounded: depth/enqueued/served per
-/// live shard, the DRR round count, and the age of the oldest queued item
+/// live shard, the ring round count, and the age of the oldest queued item
 /// (the worst wait any key is currently suffering) all export into STATS.
 
 namespace gcr::serve {
@@ -54,7 +53,6 @@ class FairQueue {
     std::size_t depth = 0;        ///< items queued now
     std::uint64_t enqueued = 0;   ///< admitted since the shard went live
     std::uint64_t served = 0;     ///< dequeued since the shard went live
-    std::uint32_t weight = 1;
     std::uint64_t head_wait_us = 0;  ///< how long the front item has waited
   };
 
@@ -71,25 +69,19 @@ class FairQueue {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || total_ >= capacity_) return false;
-      auto [it, inserted] = shards_.try_emplace(key);
+      // A live shard is always on the ring; a new one joins at the back.
+      const auto [it, inserted] = shards_.try_emplace(key);
+      if (inserted) ring_.push_back(it);
       Shard& s = it->second;
-      if (inserted) {
-        const auto w = weights_.find(key);
-        s.weight = w == weights_.end() ? 1 : w->second;
-      }
       s.items.push_back(Item{std::move(v), Clock::now()});
       ++s.enqueued;
       ++total_;
-      if (!s.in_ring) {
-        ring_.push_back(it);
-        s.in_ring = true;
-      }
     }
     not_empty_.notify_one();
     return true;
   }
 
-  /// Blocks while empty; serves the next item by deficit round-robin.
+  /// Blocks while empty; serves the next item round-robin across shards.
   /// Returns nullopt once the queue is closed *and* drained — the
   /// worker-pool shutdown signal.
   std::optional<T> pop() {
@@ -97,26 +89,20 @@ class FairQueue {
     not_empty_.wait(lock, [&] { return closed_ || total_ > 0; });
     if (total_ == 0) return std::nullopt;
 
-    auto it = ring_.front();
+    // The front shard serves one job and yields: it rotates to the back
+    // of the ring, or retires when drained.
+    const auto it = ring_.front();
+    ring_.pop_front();
     Shard& s = it->second;
-    // Classic DRR with a quantum of one job per weight unit: a shard
-    // entering service refills its deficit, spends one per dequeue, and
-    // rotates to the back of the ring when the deficit runs dry — so a
-    // weight-w shard gets w consecutive dequeues per round.
-    if (s.deficit == 0) s.deficit = s.weight == 0 ? 1 : s.weight;
     Item item = std::move(s.items.front());
     s.items.pop_front();
-    --s.deficit;
     --total_;
     ++s.served;
     if (s.items.empty()) {
-      // Drained: retire the shard entirely.  A key that goes quiet costs
-      // nothing, and its next burst starts a fresh shard (weight looked
-      // up again from the side table).
-      ring_.pop_front();
+      // A key that goes quiet costs nothing; its next burst starts a fresh
+      // shard.
       shards_.erase(it);
-    } else if (s.deficit == 0) {
-      ring_.pop_front();
+    } else {
       ring_.push_back(it);
       ++rounds_;
     }
@@ -131,15 +117,6 @@ class FairQueue {
       closed_ = true;
     }
     not_empty_.notify_all();
-  }
-
-  /// Sets the DRR weight for \p key (0 is treated as 1).  Applies to the
-  /// key's *next* shard activation and persists across retirements.
-  void set_weight(const std::string& key, std::uint32_t weight) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    weights_[key] = weight == 0 ? 1 : weight;
-    const auto it = shards_.find(key);
-    if (it != shards_.end()) it->second.weight = weight == 0 ? 1 : weight;
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -158,8 +135,8 @@ class FairQueue {
     return shards_.size();
   }
 
-  /// DRR ring rotations completed (a shard exhausting its per-round
-  /// deficit and yielding to the next key).
+  /// Ring rotations completed (a shard served its job for the round and
+  /// yielded to the next key with work still queued).
   [[nodiscard]] std::uint64_t fair_rounds() const {
     const std::lock_guard<std::mutex> lock(mu_);
     return rounds_;
@@ -194,7 +171,6 @@ class FairQueue {
       st.depth = s.items.size();
       st.enqueued = s.enqueued;
       st.served = s.served;
-      st.weight = s.weight;
       if (!s.items.empty()) {
         st.head_wait_us = age_us(s.items.front().enqueued_at, now);
       }
@@ -211,11 +187,8 @@ class FairQueue {
 
   struct Shard {
     std::deque<Item> items;
-    std::uint32_t weight = 1;
-    std::uint32_t deficit = 0;
     std::uint64_t enqueued = 0;
     std::uint64_t served = 0;
-    bool in_ring = false;
   };
 
   using ShardMap = std::map<std::string, Shard>;
@@ -233,8 +206,7 @@ class FairQueue {
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   ShardMap shards_;                          ///< live shards only
-  std::deque<typename ShardMap::iterator> ring_;  ///< DRR service order
-  std::map<std::string, std::uint32_t> weights_;  ///< persists retirement
+  std::deque<typename ShardMap::iterator> ring_;  ///< round-robin order
   std::size_t total_ = 0;
   std::uint64_t rounds_ = 0;
   bool closed_ = false;

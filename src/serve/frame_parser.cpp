@@ -1,4 +1,4 @@
-#include "net/frame_parser.hpp"
+#include "serve/frame_parser.hpp"
 
 #include <algorithm>
 #include <cstring>
@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
-namespace gcr::net {
+#include "serve/protocol.hpp"
+
+namespace gcr::serve {
 
 bool FrameParser::feed(const char* data, std::size_t n,
                        std::vector<Event>& out) {
@@ -111,7 +113,7 @@ bool FrameParser::finish_eof(std::vector<Event>& out) {
 
 void FrameParser::finish_line(std::vector<Event>& out) {
   if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-  // Blank lines are keep-alives in the blocking loop too: no event.
+  // Blank lines are keep-alives: no event, no response.
   if (line_.find_first_not_of(" \t") == std::string::npos) {
     line_.clear();
     return;
@@ -133,7 +135,7 @@ void FrameParser::finish_line(std::vector<Event>& out) {
 
   unsigned long long nbytes = 0;
   try {
-    nbytes = serve::parse_load_count(line_);
+    nbytes = parse_load_count(line_);
   } catch (const std::exception& e) {
     Event ev;
     ev.kind = EventKind::kFatal;
@@ -149,9 +151,7 @@ void FrameParser::finish_line(std::vector<Event>& out) {
     Event ev;
     ev.kind = EventKind::kOversizeLoad;
     ev.line = std::move(line_);
-    // Match the blocking loop's wording at the default limit so both
-    // front-ends speak identical bytes.
-    ev.error = opts_.max_load == serve::kMaxLoadBytes
+    ev.error = opts_.max_load == kMaxLoadBytes
                    ? "LOAD body larger than 64 MiB"
                    : "LOAD body larger than " + std::to_string(opts_.max_load) +
                          " bytes";
@@ -184,4 +184,4 @@ void FrameParser::finish_line(std::vector<Event>& out) {
   state_ = State::kBody;
 }
 
-}  // namespace gcr::net
+}  // namespace gcr::serve

@@ -4,18 +4,16 @@
 #include <string>
 #include <vector>
 
-#include "serve/protocol.hpp"
-
 /// \file frame_parser.hpp
-/// Incremental framing for the routing protocol: bytes go in as they arrive
-/// off a non-blocking socket, complete protocol commands come out.  The
-/// blocking loop (serve::serve_connection) frames by *reading* — it can ask
-/// the stream for "one line" or "N body bytes" and wait.  An event loop
-/// cannot wait, so this parser inverts control: it is a state machine over
-/// the same grammar (command line, optional byte-counted LOAD body) that
-/// holds partial input between feed() calls.
+/// The protocol's one framer: bytes go in as they arrive, complete protocol
+/// commands come out.  Both front-ends feed it — the epoll loop with
+/// whatever a non-blocking recv() returned, serve_connection with whatever
+/// its istream had buffered — so neither ever waits for "one line" or "N
+/// body bytes"; the parser is a state machine over the grammar (command
+/// line, optional byte-counted LOAD body) that holds partial input between
+/// feed() calls.
 ///
-/// The hardening rules match the blocking loop exactly:
+/// Hardening rules:
 ///   - a command line longer than max_line is discarded to its terminating
 ///     LF and reported (the connection answers ERR and keeps going);
 ///   - a LOAD whose count exceeds max_load is reported and its body bytes
@@ -25,14 +23,21 @@
 /// Memory held between calls is therefore bounded by max_line + max_load
 /// regardless of peer behaviour.
 
-namespace gcr::net {
+namespace gcr::serve {
+
+/// Command lines longer than this are rejected with ERR and discarded up to
+/// the next LF; framing survives, memory stays bounded.
+inline constexpr std::size_t kMaxCommandLine = 4096;
+/// LOAD bodies above this are refused (the declared bytes are skipped so
+/// the connection stays framed).
+inline constexpr std::size_t kMaxLoadBytes = 64ull << 20;
 
 /// Framing limits.  Top-level (not nested in FrameParser) so its default
 /// member initializers are usable in default arguments — GCC rejects that
 /// for nested aggregates until the enclosing class completes.
 struct FrameParserOptions {
-  std::size_t max_line = serve::kMaxCommandLine;
-  std::size_t max_load = serve::kMaxLoadBytes;
+  std::size_t max_line = kMaxCommandLine;
+  std::size_t max_load = kMaxLoadBytes;
 };
 
 class FrameParser {
@@ -61,11 +66,10 @@ class FrameParser {
   /// ignored (the connection is out of sync and must close).
   bool feed(const char* data, std::size_t n, std::vector<Event>& out);
 
-  /// Signals end of input.  Flushes a trailing LF-less command line — the
-  /// blocking front-end's getline serves those, so parity demands the
-  /// same here — and reports a LOAD whose declared body the peer never
-  /// finished (kFatal, the blocking loop's "body truncated" ERR).  The
-  /// parser is dead afterwards.  Returns like feed().
+  /// Signals end of input.  Flushes a trailing LF-less command line (served
+  /// like any other) and reports a LOAD whose declared body the peer never
+  /// finished (kFatal, "body truncated").  The parser is dead afterwards.
+  /// Returns like feed().
   bool finish_eof(std::vector<Event>& out);
 
   [[nodiscard]] bool dead() const noexcept { return state_ == State::kDead; }
@@ -94,4 +98,4 @@ class FrameParser {
   std::size_t need_ = 0;    ///< body bytes still to read / skip
 };
 
-}  // namespace gcr::net
+}  // namespace gcr::serve

@@ -77,8 +77,8 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> requests_errored{0};    ///< routing threw
   std::atomic<std::uint64_t> nets_routed{0};
   std::atomic<std::uint64_t> nets_failed{0};
-  /// LOAD jobs offloaded to the worker pool by the event-driven front-end
-  /// (the blocking front-end parses inline and does not count here).
+  /// Cold LOAD and GEN jobs offloaded to the worker pool (a LOAD of
+  /// resident content answers inline and does not count here).
   std::atomic<std::uint64_t> loads_offloaded{0};
   std::atomic<std::uint64_t> loads_ok{0};
   std::atomic<std::uint64_t> loads_failed{0};  ///< parse error / rejected
@@ -178,7 +178,7 @@ struct MetricsSnapshot {
   std::uint32_t protocol_version = 0;
   std::size_t queue_depth = 0;
   std::size_t queue_capacity = 0;
-  /// Weighted-fair dispatch: live shard count, DRR ring rotations, the age
+  /// Fair dispatch: live shard count, round-robin rotations, the age
   /// of the oldest queued item anywhere (the starvation gauge), and one
   /// entry per live shard in service order.
   std::size_t queue_shards = 0;

@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <istream>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -18,38 +20,6 @@
 namespace gcr::serve {
 
 namespace {
-
-/// Outcome of one bounded line read.
-enum class LineRead {
-  kLine,     ///< a complete (possibly empty) line, CR stripped
-  kEof,      ///< no more input
-  kTooLong,  ///< exceeded kMaxCommandLine; discarded up to the next LF
-};
-
-/// getline with a hard length cap: the blocking loop's defence against a
-/// peer that streams bytes without ever sending `\n` (std::getline would
-/// buffer all of them, bypassing the LOAD size cap).  An overlong line is
-/// discarded to its terminating LF so framing survives.
-LineRead read_line_capped(std::istream& in, std::string& line) {
-  line.clear();
-  int ch;
-  while ((ch = in.get()) != std::istream::traits_type::eof()) {
-    if (ch == '\n') {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return LineRead::kLine;
-    }
-    if (line.size() >= kMaxCommandLine) {
-      while ((ch = in.get()) != std::istream::traits_type::eof() &&
-             ch != '\n') {
-      }
-      return LineRead::kTooLong;
-    }
-    line.push_back(static_cast<char>(ch));
-  }
-  if (line.empty()) return LineRead::kEof;
-  if (line.back() == '\r') line.pop_back();  // trailing line without LF
-  return LineRead::kLine;
-}
 
 std::vector<std::string> split_words(const std::string& s) {
   std::vector<std::string> out;
@@ -730,16 +700,6 @@ std::string format_load_response(const LoadResponse& resp) {
   return format_load_ok(*resp.session, resp.cache_hit);
 }
 
-std::string exec_load(RoutingService& service, const std::string& body) {
-  try {
-    bool cached = false;
-    const auto session = service.load(body, &cached);
-    return format_load_ok(*session, cached);
-  } catch (const std::exception& e) {
-    return format_err(e.what());
-  }
-}
-
 std::string exec_stats(RoutingService& service) {
   // The render itself is metered into the stats verb shard: STATS traffic
   // (dashboards poll it) must not hide in the global latency picture, and a
@@ -898,209 +858,265 @@ std::string format_gen_ok(const LayoutSession& session, bool cached,
                    "");
 }
 
-std::string exec_gen(RoutingService& service, const GenCommand& cmd) {
-  try {
-    const std::string text = generate_workload_text(cmd);
-    bool cached = false;
-    const auto session = service.load(text, &cached);
-    service.record_gen(true);
-    return format_gen_ok(*session, cached, cmd.kind);
-  } catch (const std::exception& e) {
-    service.record_gen(false);
-    return format_err(e.what());
+namespace {
+
+pipeline::StageKind stage_kind_of(CommandKind kind) {
+  switch (kind) {
+    case CommandKind::kDetail: return pipeline::StageKind::kDetail;
+    case CommandKind::kCongest: return pipeline::StageKind::kCongest;
+    case CommandKind::kVerify: return pipeline::StageKind::kVerify;
+    default: return pipeline::StageKind::kSvg;
   }
 }
 
+/// Hands a parsed routing-pool command to the workers.  The worker renders
+/// the frame with \p format — route dumps and SVG bodies are the expensive
+/// part of a response — and OPTIMIZE's PASS lines stream through the same
+/// sink ahead of it.
+void submit_route(RoutingService& service, const RouteCommand& cmd,
+                  std::chrono::steady_clock::time_point received,
+                  Responder& responder,
+                  std::string (*format)(const RouteResponse&)) {
+  RouteRequest req = to_request(cmd);
+  req.received = received;
+  req.cancel = responder.owner();
+  ReplySink sink = responder.hand_off(/*barrier=*/false);
+  if (req.optimize) {
+    req.progress = [sink](const route::OptimizePassStats& stats) {
+      sink(format_pass_progress(stats), /*final=*/false);
+    };
+  }
+  service.submit(std::move(req),
+                 [sink = std::move(sink), format](RouteResponse resp) {
+                   sink(format(resp), /*final=*/true);
+                 });
+}
+
+/// Hands a pin-family request to the workers.  The connection's identity
+/// is the pin owner: it gates every later mutation, and the front-end's
+/// release_pins call frees the pins when the connection ends.
+void submit_pin(RoutingService& service, PinRequest req,
+                Responder& responder) {
+  req.owner = responder.owner();
+  const PinRequest::Op op = req.op;
+  ReplySink sink = responder.hand_off(/*barrier=*/false);
+  service.submit_pin(std::move(req),
+                     [sink = std::move(sink), op](PinResponse resp) {
+                       sink(format_pin_response(resp, op), /*final=*/true);
+                     });
+}
+
+}  // namespace
+
+void dispatch(RoutingService& service, FrameParser::Event& ev,
+              Responder& responder) {
+  if (ev.kind != FrameParser::EventKind::kCommand) {
+    responder.answer(format_err(ev.error));
+    if (ev.kind == FrameParser::EventKind::kFatal) responder.close_after();
+    return;
+  }
+  // span_parse_us origin: classification, knob validation, and request
+  // lowering are the front-end's own cost, reported outside total_us.
+  const auto received = std::chrono::steady_clock::now();
+  const ClassifiedCommand cmd = classify_command(ev.line);
+  // Only the parse_* calls throw, and each runs before its command is
+  // handed off — so the catch below answers a command at most once.
+  try {
+    switch (cmd.kind) {
+      case CommandKind::kQuit:
+        responder.answer(format_ok("bye", ""));
+        responder.close_after();
+        return;
+      case CommandKind::kStats:
+        responder.answer(exec_stats(service));
+        return;
+      case CommandKind::kHello:
+        responder.answer(format_hello(service.uptime_s()));
+        return;
+      case CommandKind::kTrace:
+        // A bounded copy of the slow ring (<= 256 small records): cheap
+        // enough to answer inline, like STATS.
+        responder.answer(exec_trace(service, parse_trace_count(cmd.args)));
+        return;
+      case CommandKind::kLoad: {
+        // Resident content answers inline: the probe costs one content
+        // hash, orders of magnitude cheaper than the parse + environment
+        // build.  Cold content builds on a worker with the key already
+        // computed (the body is hashed once, and moved, not copied); the
+        // barrier holds this connection's later commands until the session
+        // exists, so a pipelined LOAD→ROUTE still resolves.
+        std::string key;
+        if (const auto resident =
+                service.sessions().find_content(ev.body, &key)) {
+          responder.answer(format_load_ok(*resident, true));
+          return;
+        }
+        ReplySink sink = responder.hand_off(/*barrier=*/true);
+        service.submit_load(std::move(ev.body), std::move(key),
+                            responder.owner(),
+                            [sink = std::move(sink)](LoadResponse resp) {
+                              sink(format_load_response(resp),
+                                   /*final=*/true);
+                            });
+        return;
+      }
+      case CommandKind::kRoute:
+      case CommandKind::kReroute: {
+        const RouteCommand rc = cmd.kind == CommandKind::kRoute
+                                    ? parse_route_command(cmd.args)
+                                    : parse_reroute_command(cmd.args);
+        // REROUTE against a pin handle reroutes the pin's own committed
+        // remainder (owner-gated, serialized on the pin's ticket chain)
+        // instead of the shared stateless path.  The registry probe is one
+        // locked map lookup.
+        if (rc.reroute && service.pins().find(rc.session_key) != nullptr) {
+          PinRequest preq;
+          preq.op = PinRequest::Op::kReroute;
+          preq.key = rc.session_key;
+          preq.nets = rc.nets;
+          preq.wire_halo = rc.opts.wire_halo;
+          submit_pin(service, std::move(preq), responder);
+          return;
+        }
+        submit_route(service, rc, received, responder, format_route_response);
+        return;
+      }
+      case CommandKind::kOptimize:
+        submit_route(service, parse_optimize_command(cmd.args), received,
+                     responder, format_optimize_response);
+        return;
+      case CommandKind::kDetail:
+      case CommandKind::kCongest:
+      case CommandKind::kVerify:
+      case CommandKind::kSvg:
+        submit_route(service,
+                     parse_stage_command(stage_kind_of(cmd.kind), cmd.args),
+                     received, responder, format_stage_response);
+        return;
+      case CommandKind::kGen: {
+        const GenCommand gen = parse_gen_command(cmd.args);
+        // Synthesis is deterministic but not cheap — the parse caps admit
+        // cells=4096 with nets=65536, seconds of work — so it runs on a
+        // worker, which then takes LOAD's path (content probe, session
+        // build, cache insert) behind the same barrier.
+        ReplySink sink = responder.hand_off(/*barrier=*/true);
+        service.submit_gen(
+            [gen] { return generate_workload_text(gen); }, responder.owner(),
+            [sink = std::move(sink), kind = gen.kind](LoadResponse resp) {
+              sink(resp.ok ? format_gen_ok(*resp.session, resp.cache_hit, kind)
+                           : format_err(resp.error),
+                   /*final=*/true);
+            });
+        return;
+      }
+      case CommandKind::kPin:
+      case CommandKind::kUnpin:
+      case CommandKind::kCommit:
+      case CommandKind::kUncommit:
+      case CommandKind::kSave:
+        submit_pin(service, parse_pin_command(cmd.kind, cmd.args), responder);
+        return;
+      case CommandKind::kBlank:  // the FrameParser drops blank lines
+      case CommandKind::kUnknown:
+        break;
+    }
+  } catch (const std::exception& e) {
+    responder.answer(format_err(e.what()));
+    return;
+  }
+  responder.answer(format_err("unknown command '" + cmd.keyword + "'"));
+}
+
+namespace {
+
+/// serve_connection's Responder.  Frames are written straight to the
+/// output stream by whichever thread produced them, while the loop parks
+/// in await() until the dispatched command's final frame is out — so the
+/// stream has one writer at a time, and every command is its own barrier.
+class StreamResponder final : public Responder {
+ public:
+  explicit StreamResponder(std::ostream& out) : out_(out) {}
+
+  [[nodiscard]] const std::shared_ptr<std::atomic<bool>>& owner()
+      const override {
+    return owner_;
+  }
+  void answer(std::string frame) override { write(frame, /*final=*/true); }
+  ReplySink hand_off(bool /*barrier*/) override {
+    return [this](std::string text, bool final) { write(text, final); };
+  }
+  void close_after() override { closing_ = true; }
+
+  /// Parks until the dispatched command's final frame is written.  Returns
+  /// false once the connection must close.
+  bool await() {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [this] { return done_; });
+    done_ = false;
+    return !closing_;
+  }
+
+ private:
+  void write(const std::string& text, bool final) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    out_ << text;
+    out_.flush();
+    if (final) {
+      done_ = true;
+      done_cv_.notify_one();
+    }
+  }
+
+  std::ostream& out_;
+  /// This connection's identity: gates pin ownership and is what the
+  /// exit-path auto-release keys on.  (Commands run one at a time and are
+  /// never cancelled, so the flag itself is never set.)
+  const std::shared_ptr<std::atomic<bool>> owner_ =
+      std::make_shared<std::atomic<bool>>(false);
+  std::mutex mu_;
+  std::condition_variable done_cv_;
+  bool done_ = false;
+  bool closing_ = false;
+};
+
+/// Reads whatever \p in can supply without waiting for a full buffer: it
+/// blocks only while nothing is buffered.  Returns 0 at end of input.
+std::size_t read_available(std::istream& in, char* buf, std::size_t cap) {
+  std::streambuf& sb = *in.rdbuf();
+  if (sb.sgetc() == std::streambuf::traits_type::eof()) return 0;
+  const std::streamsize avail = std::clamp<std::streamsize>(
+      sb.in_avail(), 1, static_cast<std::streamsize>(cap));
+  return static_cast<std::size_t>(sb.sgetn(buf, avail));
+}
+
+}  // namespace
+
 std::size_t serve_connection(RoutingService& service, std::istream& in,
                              std::ostream& out) {
-  const auto emit = [&out](const std::string& frame) {
-    out << frame;
-    out.flush();
-  };
-  // This connection's identity: gates pin ownership and is what the
-  // disconnect auto-release below keys on.  (The blocking loop never
-  // cancels mid-request, so the flag itself is never set here.)
-  const auto owner = std::make_shared<std::atomic<bool>>(false);
-
+  StreamResponder responder(out);
+  FrameParser parser;
+  std::vector<FrameParser::Event> events;
+  char buf[64 * 1024];
   std::size_t frames = 0;
-  std::string line;
-  for (;;) {
-    const LineRead got = read_line_capped(in, line);
-    if (got == LineRead::kEof) break;
-    if (got == LineRead::kTooLong) {
+  for (bool more = true; more;) {
+    events.clear();
+    const std::size_t n = read_available(in, buf, sizeof buf);
+    if (n > 0) {
+      more = parser.feed(buf, n, events);
+    } else {
+      parser.finish_eof(events);
+      more = false;
+    }
+    for (FrameParser::Event& ev : events) {
+      dispatch(service, ev, responder);
       ++frames;
-      emit(format_err("command line exceeds " +
-                      std::to_string(kMaxCommandLine) + " bytes"));
-      continue;
-    }
-    // Parse-span origin: everything between here and submit (classify,
-    // knob validation, request lowering) is the front-end's own cost and
-    // is reported separately as span_parse_us.
-    const auto received = std::chrono::steady_clock::now();
-    const ClassifiedCommand cmd = classify_command(line);
-    if (cmd.kind == CommandKind::kBlank) continue;  // keep-alive line
-    ++frames;
-
-    if (cmd.kind == CommandKind::kQuit) {
-      emit(format_ok("bye", ""));
-      break;
-    }
-
-    if (cmd.kind == CommandKind::kStats) {
-      emit(exec_stats(service));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kHello) {
-      emit(format_hello(service.uptime_s()));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kTrace) {
-      try {
-        emit(exec_trace(service, parse_trace_count(cmd.args)));
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-      }
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kLoad) {
-      unsigned long long nbytes = 0;
-      try {
-        nbytes = parse_load_count(line);
-      } catch (const std::exception& e) {
-        // Without a trustworthy byte count the body length is unknown, so
-        // the stream position is lost — drop the connection rather than
-        // parse body bytes as commands.
-        emit(format_err(std::string(e.what()) + " (connection out of sync)"));
+      if (!responder.await()) {
+        more = false;
         break;
       }
-      if (nbytes > kMaxLoadBytes) {
-        // The count is valid, just unacceptable: skip exactly the declared
-        // body so the connection stays framed, then keep serving.
-        emit(format_err("LOAD body larger than 64 MiB"));
-        in.ignore(static_cast<std::streamsize>(nbytes));
-        if (static_cast<unsigned long long>(in.gcount()) != nbytes) break;
-        continue;
-      }
-      std::string body(static_cast<std::size_t>(nbytes), '\0');
-      in.read(body.data(), static_cast<std::streamsize>(body.size()));
-      if (static_cast<unsigned long long>(in.gcount()) != nbytes) {
-        // A truncated body desynchronizes the framing; the only safe
-        // recovery is to drop the connection.
-        emit(format_err("LOAD body truncated (connection out of sync)"));
-        break;
-      }
-      emit(exec_load(service, body));
-      continue;
     }
-
-    if (cmd.kind == CommandKind::kOptimize) {
-      RouteRequest req;
-      try {
-        req = to_request(parse_optimize_command(cmd.args));
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      req.received = received;
-      // Stream each completed pass as it lands.  The progress hook runs on
-      // the worker thread while this thread is parked inside route()'s
-      // future wait; the future's synchronization orders every streamed
-      // write before the final frame below, and nothing else writes to
-      // `out` in that window — the blocking loop serves one command at a
-      // time.
-      req.progress = [&emit](const route::OptimizePassStats& stats) {
-        emit(format_pass_progress(stats));
-      };
-      emit(format_optimize_response(service.route(std::move(req))));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kDetail ||
-        cmd.kind == CommandKind::kCongest ||
-        cmd.kind == CommandKind::kVerify || cmd.kind == CommandKind::kSvg) {
-      const pipeline::StageKind stage_kind =
-          cmd.kind == CommandKind::kDetail    ? pipeline::StageKind::kDetail
-          : cmd.kind == CommandKind::kCongest ? pipeline::StageKind::kCongest
-          : cmd.kind == CommandKind::kVerify  ? pipeline::StageKind::kVerify
-                                              : pipeline::StageKind::kSvg;
-      RouteRequest req;
-      try {
-        req = to_request(parse_stage_command(stage_kind, cmd.args));
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      req.received = received;
-      emit(format_stage_response(service.route(std::move(req))));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kGen) {
-      GenCommand gen;
-      try {
-        gen = parse_gen_command(cmd.args);
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      emit(exec_gen(service, gen));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kPin || cmd.kind == CommandKind::kUnpin ||
-        cmd.kind == CommandKind::kCommit ||
-        cmd.kind == CommandKind::kUncommit ||
-        cmd.kind == CommandKind::kSave) {
-      PinRequest req;
-      try {
-        req = parse_pin_command(cmd.kind, cmd.args);
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      const PinRequest::Op op = req.op;
-      req.owner = owner;
-      emit(format_pin_response(service.pin_op(std::move(req)), op));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kRoute ||
-        cmd.kind == CommandKind::kReroute) {
-      RouteCommand rc;
-      try {
-        rc = cmd.kind == CommandKind::kRoute ? parse_route_command(cmd.args)
-                                             : parse_reroute_command(cmd.args);
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      // REROUTE against a pin handle runs the rip-up on the pin's own
-      // committed remainder (owner-gated, per-pin FIFO) instead of the
-      // shared stateless path.
-      if (cmd.kind == CommandKind::kReroute &&
-          service.pins().find(rc.session_key) != nullptr) {
-        PinRequest preq;
-        preq.op = PinRequest::Op::kReroute;
-        preq.key = rc.session_key;
-        preq.nets = rc.nets;
-        preq.wire_halo = rc.opts.wire_halo;
-        preq.owner = owner;
-        emit(format_pin_response(service.pin_op(std::move(preq)),
-                                 PinRequest::Op::kReroute));
-        continue;
-      }
-      RouteRequest req = to_request(rc);
-      req.received = received;
-      emit(format_route_response(service.route(std::move(req))));
-      continue;
-    }
-
-    emit(format_err("unknown command '" + cmd.keyword + "'"));
   }
-  service.release_pins(owner);
+  service.release_pins(responder.owner());
   return frames;
 }
 

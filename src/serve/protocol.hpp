@@ -1,13 +1,17 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "serve/frame_parser.hpp"
 #include "serve/routing_service.hpp"
 
 /// \file protocol.hpp
@@ -157,7 +161,7 @@
 /// Span glossary (`trace=1` response meta, all microseconds):
 ///
 /// ```text
-/// span_parse_us   read-line -> submit (front-end parse; outside total_us)
+/// span_parse_us   dispatch -> submit (command parse; outside total_us)
 /// span_admit_us   submit -> enqueued (admission checks, net resolution)
 /// span_queue_us   enqueued -> dequeued by a worker
 /// span_env_us     dequeue -> routing environment ready (grid/session state)
@@ -192,19 +196,17 @@
 /// each verb row names its positional arity and its `key=value` knobs with
 /// types, ranges, and required flags; classify_command, every parse_*
 /// function, and the HELLO capability list are all views of that single
-/// table, so the two front-ends cannot drift and a new verb is one row plus
-/// a handler.  Everything below except serve_connection is a pure function
-/// over in-memory buffers, shared verbatim by the legacy blocking loop and
-/// the epoll front-end (src/net/): both speak exactly the same bytes.
+/// table, and a new verb is one row plus a case in dispatch().
+///
+/// Both front-ends — serve_connection below and the epoll loop (src/net/)
+/// — frame bytes with the one FrameParser and hand every event to the one
+/// dispatch(), which does all per-verb work and answers through the
+/// front-end's Responder.  The front-ends own only transport: where a
+/// frame is written, how a pipelined connection keeps responses in order,
+/// and when it closes.
 
 namespace gcr::serve {
 
-/// Command lines longer than this are rejected with ERR and discarded up to
-/// the next LF; framing survives, memory stays bounded.
-inline constexpr std::size_t kMaxCommandLine = 4096;
-/// LOAD bodies above this are refused (the declared bytes are skipped so
-/// the connection stays framed).
-inline constexpr std::size_t kMaxLoadBytes = 64ull << 20;
 /// Upper bound on `deadline_ms`/`budget_ms` (24 hours).  parse_count
 /// accepts anything up to ULLONG_MAX, but milliseconds' rep is signed:
 /// constructing it from a huge count narrows to a *negative* duration, and
@@ -287,8 +289,7 @@ struct ClassifiedCommand {
 };
 
 /// Splits a command line into keyword + argument rest and names the
-/// command by verb-table lookup.  The single keyword-routing point shared
-/// by the blocking loop and the epoll front-end — one table, no drift.
+/// command by verb-table lookup — dispatch()'s keyword-routing point.
 [[nodiscard]] ClassifiedCommand classify_command(const std::string& line);
 
 /// A parsed ROUTE or REROUTE command.
@@ -373,8 +374,7 @@ struct GenCommand {
 /// Parses a complete `LOAD <count>` command line and returns the declared
 /// body byte count.  Throws std::runtime_error (with token context) when
 /// the count is missing, non-numeric, or out of range — the caller must
-/// treat that as a lost stream position.  Shared by the blocking loop and
-/// the incremental frame parser so both enforce identical framing.
+/// treat that as a lost stream position.  The FrameParser's LOAD framing.
 [[nodiscard]] unsigned long long parse_load_count(const std::string& line);
 
 /// Lowers a parsed command into a service request (deadline made absolute,
@@ -396,20 +396,13 @@ struct GenCommand {
 /// which the caller reads off the service.
 [[nodiscard]] std::string format_hello(std::uint64_t uptime_s);
 
-/// Executes LOAD against the service and renders the response frame.
-/// Synchronous — the blocking front-end's path; the event loop offloads
-/// the build via RoutingService::submit_load and renders with
-/// format_load_response instead.
-[[nodiscard]] std::string exec_load(RoutingService& service,
-                                    const std::string& body);
-
 /// Renders the LOAD OK frame for an already-resolved session (the inline
-/// cache-hit fast path of the event loop).
+/// resident-content fast path of dispatch()).
 [[nodiscard]] std::string format_load_ok(const LayoutSession& session,
                                          bool cached);
 
-/// Renders a completed offloaded LOAD: the same bytes exec_load would have
-/// produced for the same outcome.  Pure — safe on a worker thread.
+/// Renders a completed offloaded LOAD (the OK frame, or the ERR frame for
+/// a parse/validation failure).  Pure — safe on a worker thread.
 [[nodiscard]] std::string format_load_response(const LoadResponse& resp);
 
 /// Renders the STATS response frame.  Times its own render and records the
@@ -458,19 +451,55 @@ struct GenCommand {
 [[nodiscard]] std::string format_gen_ok(const LayoutSession& session,
                                         bool cached, GenCommand::Kind kind);
 
-/// Executes GEN synchronously (generate + load + account) — the blocking
-/// front-end's path; the event loop generates on its own thread and runs
-/// the text through its LOAD machinery instead.
-[[nodiscard]] std::string exec_gen(RoutingService& service,
-                                   const GenCommand& cmd);
+/// Where a command's frames go once it has left the dispatching thread: a
+/// worker calls the sink with each OPTIMIZE `PASS` line (final=false), then
+/// exactly once with the final frame (final=true).
+using ReplySink = std::function<void(std::string text, bool final)>;
+
+/// A front-end's half of dispatch(): how one command's answer reaches its
+/// connection.  dispatch() answers every event exactly once — either inline
+/// through answer(), or through the sink hand_off() returned.
+class Responder {
+ public:
+  /// The connection's identity: owner of the pins it acquires and cancel
+  /// token of every job it submits.
+  [[nodiscard]] virtual const std::shared_ptr<std::atomic<bool>>& owner()
+      const = 0;
+  /// Delivers the final frame on the dispatching thread.
+  virtual void answer(std::string frame) = 0;
+  /// Called once, just before the command is handed to the worker pool;
+  /// returns where its frames go.  \p barrier marks LOAD/GEN: commands
+  /// after it must not dispatch until its final frame is in, so a
+  /// pipelined `LOAD …\nROUTE` finds the session resident.
+  virtual ReplySink hand_off(bool barrier) = 0;
+  /// The connection closes once this command's frame is delivered (QUIT,
+  /// or a fatal framing error); no later command is served.
+  virtual void close_after() = 0;
+
+ protected:
+  ~Responder() = default;
+};
+
+/// The single per-verb handler both front-ends call: answers one framer
+/// event.  Framing errors and malformed command lines answer ERR (the
+/// connection continues, except after a fatal framing error); everything
+/// else is classified, parsed through the verb table, lowered to a service
+/// request, and answered inline (STATS, HELLO, TRACE, resident LOAD, parse
+/// errors) or on a worker, which also renders the frame.  Moves the LOAD
+/// body out of \p ev.
+void dispatch(RoutingService& service, FrameParser::Event& ev,
+              Responder& responder);
 
 /// Serves one connection: reads command frames from \p in, writes response
 /// frames to \p out, until QUIT, end of input, or an unrecoverable framing
 /// error (a LOAD whose body ends early).  Malformed *command lines* get an
 /// ERR response and the connection continues — one bad request must not
-/// take down a pipelined client.  The connection gets a fresh identity
-/// token; pins it acquires are released when the loop exits, whatever the
-/// exit path.  Returns the number of frames served.
+/// take down a pipelined client.  Bytes go through the FrameParser as the
+/// stream makes them available; each event is dispatched and its final
+/// frame awaited before the next, so commands run one at a time.  The
+/// connection gets a fresh identity token; pins it acquires are released
+/// when the loop exits, whatever the exit path.  Returns the number of
+/// frames served.
 std::size_t serve_connection(RoutingService& service, std::istream& in,
                              std::ostream& out);
 

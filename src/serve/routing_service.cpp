@@ -259,14 +259,6 @@ void RoutingService::submit_pin(PinRequest req, PinCallback done) {
   }
 }
 
-PinResponse RoutingService::pin_op(PinRequest req) {
-  auto p = std::make_shared<std::promise<PinResponse>>();
-  std::future<PinResponse> fut = p->get_future();
-  submit_pin(std::move(req),
-             [p](PinResponse resp) { p->set_value(std::move(resp)); });
-  return fut.get();
-}
-
 void RoutingService::release_pins(
     const std::shared_ptr<std::atomic<bool>>& owner, bool preserve) {
   const std::size_t released = pins_.release_owner(owner, preserve);
@@ -371,6 +363,7 @@ void RoutingService::submit_gen(std::function<std::string()> synth,
   const std::string shard = "gen";
   if (!queue_.try_push(shard, std::move(job))) {
     metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
+    metrics_.gens_failed.fetch_add(1, std::memory_order_relaxed);
     LoadResponse resp;
     resp.error = "rejected";
     job.load_done(std::move(resp));
@@ -407,6 +400,10 @@ void RoutingService::run_load_job(Job& job) {
   }
   if (!resp.ok) {
     metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (job.verb == VerbKind::kGen) {
+    (resp.ok ? metrics_.gens_ok : metrics_.gens_failed)
+        .fetch_add(1, std::memory_order_relaxed);
   }
   RequestTrace& trace = job.trace;
   const std::uint64_t total =

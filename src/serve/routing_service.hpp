@@ -24,15 +24,14 @@
 #include "serve/trace.hpp"
 
 /// \file routing_service.hpp
-/// The serving facade: a persistent worker pool draining a bounded,
-/// weighted-fair job queue of route requests against cached layout
-/// sessions.
+/// The serving facade: a persistent worker pool draining a bounded, fair
+/// job queue of route requests against cached layout sessions.
 ///
 /// Request lifecycle:
 ///   submit  -> session resolved (miss fails fast, nothing queued)
 ///           -> admission through the bounded fair queue (full = rejected);
 ///              jobs shard by session key (pins by handle, LOADs by content
-///              key, GENs together) and dequeue by deficit round-robin, so
+///              key, GENs together) and dequeue round-robin, so
 ///              one saturating session cannot starve its neighbors
 ///   worker  -> cancellation and deadline checked at dequeue
 ///           -> NetlistRouter::route_all over the session's shared
@@ -258,15 +257,15 @@ class RoutingService {
   /// immediately with the corresponding status.
   [[nodiscard]] std::future<RouteResponse> submit(RouteRequest req);
 
-  /// Callback form of admission — the event-driven front-end's entry point
-  /// (src/net/): no future to block on, \p done fires with the response
-  /// wherever it materializes (see RouteCallback).  The callback typically
-  /// formats the response and posts it to the event loop's wakeup mailbox.
+  /// Callback form of admission — dispatch()'s entry point (protocol.hpp):
+  /// no future to block on, \p done fires with the response wherever it
+  /// materializes (see RouteCallback).  The callback typically formats the
+  /// response and hands it to the front-end's reply sink.
   void submit(RouteRequest req, RouteCallback done);
 
   /// Offloads a LOAD — layout parse, validation, and the expensive
   /// environment build — to the worker pool instead of the calling thread;
-  /// the event loop's defence against a cold-session storm stalling every
+  /// the front-ends' defence against a cold-session storm stalling every
   /// connection.  \p key is the precomputed `SessionCache::content_key` of
   /// \p text (the caller's admission probe already hashed the body; the
   /// worker must not pay that again).  \p done fires on a worker (or
@@ -279,10 +278,11 @@ class RoutingService {
 
   /// Offloads a GEN: \p synth runs on a worker to produce the layout text
   /// (at the parse caps synthesis alone can run for seconds — far too long
-  /// for the event-loop thread), then the text takes the LOAD path on the
+  /// for a front-end thread), then the text takes the LOAD path on the
   /// same worker — content probe, session build, cache insert.  \p synth
   /// may throw; the failure comes back as ok=false.  \p cancel and \p done
-  /// behave exactly as in submit_load.
+  /// behave exactly as in submit_load.  Every outcome, a rejection
+  /// included, counts into gens_ok / gens_failed.
   void submit_gen(std::function<std::string()> synth,
                   std::shared_ptr<std::atomic<bool>> cancel,
                   LoadCallback done);
@@ -297,9 +297,6 @@ class RoutingService {
   /// pinned_session.hpp) — and the ownership check runs both at admission
   /// and again on the worker, so a pin released mid-queue fails cleanly.
   void submit_pin(PinRequest req, PinCallback done);
-
-  /// Closed-loop convenience: submit_pin and wait.
-  [[nodiscard]] PinResponse pin_op(PinRequest req);
 
   /// Releases every pin owned by \p owner — the disconnect auto-release
   /// hook, called by both front-ends when a connection ends (the epoll
@@ -323,12 +320,6 @@ class RoutingService {
   [[nodiscard]] SessionCache& sessions() noexcept { return cache_; }
   [[nodiscard]] pipeline::StageCache& stages() noexcept {
     return stage_cache_;
-  }
-  /// GEN accounting: the front-ends synthesize the workload (on their own
-  /// path — inline or via submit_load) and report the outcome here.
-  void record_gen(bool ok) noexcept {
-    (ok ? metrics_.gens_ok : metrics_.gens_failed)
-        .fetch_add(1, std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return workers_.size();

@@ -24,10 +24,10 @@
 #include "io/route_dump.hpp"
 #include "io/text_format.hpp"
 #include "net/event_loop.hpp"
-#include "net/frame_parser.hpp"
 #include "net/reactor_pool.hpp"
 #include "net/socket.hpp"
 #include "serve/fd_stream.hpp"
+#include "serve/frame_parser.hpp"
 #include "serve/layout_session.hpp"
 #include "serve/protocol.hpp"
 #include "serve/routing_service.hpp"
@@ -41,12 +41,12 @@
 namespace {
 
 using namespace gcr;
-using Event = net::FrameParser::Event;
-using Kind = net::FrameParser::EventKind;
+using Event = serve::FrameParser::Event;
+using Kind = serve::FrameParser::EventKind;
 
 // ------------------------------------------------------------ frame parser
 
-std::vector<Event> feed_all(net::FrameParser& p, const std::string& bytes,
+std::vector<Event> feed_all(serve::FrameParser& p, const std::string& bytes,
                             std::size_t chunk = SIZE_MAX) {
   std::vector<Event> out;
   for (std::size_t i = 0; i < bytes.size(); i += chunk) {
@@ -56,7 +56,7 @@ std::vector<Event> feed_all(net::FrameParser& p, const std::string& bytes,
 }
 
 TEST(FrameParser, OneByteAtATime) {
-  net::FrameParser p;
+  serve::FrameParser p;
   const auto events = feed_all(p, "ROUTE abc threads=2\r\n", 1);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, Kind::kCommand);
@@ -65,7 +65,7 @@ TEST(FrameParser, OneByteAtATime) {
 }
 
 TEST(FrameParser, PipelinedCommandsInOneFeed) {
-  net::FrameParser p;
+  serve::FrameParser p;
   const auto events = feed_all(p, "STATS\n\n  \nQUIT\n");
   ASSERT_EQ(events.size(), 2u);  // blank lines are keep-alives, no event
   EXPECT_EQ(events[0].line, "STATS");
@@ -73,7 +73,7 @@ TEST(FrameParser, PipelinedCommandsInOneFeed) {
 }
 
 TEST(FrameParser, LoadBodySplitAcrossFeeds) {
-  net::FrameParser p;
+  serve::FrameParser p;
   std::vector<Event> out;
   p.feed("LOAD 5\nab", 9, out);
   EXPECT_TRUE(out.empty());  // body incomplete: nothing emitted yet
@@ -88,7 +88,7 @@ TEST(FrameParser, LoadBodySplitAcrossFeeds) {
 }
 
 TEST(FrameParser, ZeroByteLoad) {
-  net::FrameParser p;
+  serve::FrameParser p;
   const auto events = feed_all(p, "LOAD 0\n");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].line, "LOAD 0");
@@ -96,9 +96,9 @@ TEST(FrameParser, ZeroByteLoad) {
 }
 
 TEST(FrameParser, OverlongLineDiscardedAndBounded) {
-  net::FrameParser::Options opts;
+  serve::FrameParser::Options opts;
   opts.max_line = 16;
-  net::FrameParser p(opts);
+  serve::FrameParser p(opts);
   const std::string garbage(100, 'a');
   const auto events = feed_all(p, garbage + "\nSTATS\n", 7);
   ASSERT_EQ(events.size(), 2u);
@@ -112,9 +112,9 @@ TEST(FrameParser, OverlongLineDiscardedAndBounded) {
 TEST(FrameParser, NeverendingLineStaysBounded) {
   // The attack the cap exists for: a peer streaming bytes with no LF must
   // not grow the parser's memory.
-  net::FrameParser::Options opts;
+  serve::FrameParser::Options opts;
   opts.max_line = 64;
-  net::FrameParser p(opts);
+  serve::FrameParser p(opts);
   std::vector<Event> out;
   const std::string chunk(1024, 'x');
   for (int i = 0; i < 64; ++i) {
@@ -126,9 +126,9 @@ TEST(FrameParser, NeverendingLineStaysBounded) {
 }
 
 TEST(FrameParser, OversizeLoadSkippedWithoutBuffering) {
-  net::FrameParser::Options opts;
+  serve::FrameParser::Options opts;
   opts.max_load = 8;
-  net::FrameParser p(opts);
+  serve::FrameParser p(opts);
   const std::string body(100, 'b');
   const auto events = feed_all(p, "LOAD 100\n" + body + "STATS\n", 11);
   ASSERT_EQ(events.size(), 2u);
@@ -139,7 +139,7 @@ TEST(FrameParser, OversizeLoadSkippedWithoutBuffering) {
 }
 
 TEST(FrameParser, UnparsableLoadCountIsFatal) {
-  net::FrameParser p;
+  serve::FrameParser p;
   std::vector<Event> out;
   EXPECT_FALSE(p.feed("LOAD banana\nQUIT\n", 17, out));
   ASSERT_EQ(out.size(), 1u);
@@ -152,9 +152,9 @@ TEST(FrameParser, UnparsableLoadCountIsFatal) {
 }
 
 TEST(FrameParser, FinishEofFlushesTrailingLine) {
-  // The blocking front-end's getline serves a final line that the peer
-  // never LF-terminated; EOF flush keeps the two front-ends in parity.
-  net::FrameParser p;
+  // A final line the peer never LF-terminated is still a command: the EOF
+  // flush hands it over on both front-ends.
+  serve::FrameParser p;
   std::vector<Event> out;
   p.feed("STATS", 5, out);
   EXPECT_TRUE(out.empty());
@@ -166,7 +166,7 @@ TEST(FrameParser, FinishEofFlushesTrailingLine) {
 }
 
 TEST(FrameParser, FinishEofReportsTruncatedLoadBody) {
-  net::FrameParser p;
+  serve::FrameParser p;
   std::vector<Event> out;
   p.feed("LOAD 10\nabc", 11, out);
   EXPECT_TRUE(out.empty());
@@ -175,7 +175,7 @@ TEST(FrameParser, FinishEofReportsTruncatedLoadBody) {
   EXPECT_EQ(out[0].kind, Kind::kFatal);
   EXPECT_NE(out[0].error.find("truncated"), std::string::npos);
   // Clean EOF at a frame boundary flushes nothing.
-  net::FrameParser q;
+  serve::FrameParser q;
   std::vector<Event> none;
   q.feed("STATS\n", 6, none);
   none.clear();
@@ -315,8 +315,8 @@ TEST(EventLoop, PipelinedCommandsInOneSegment) {
 }
 
 TEST(EventLoop, TrailingLineWithoutNewlineServedOnHalfClose) {
-  // Parity with the blocking front-end: a client that sends its last
-  // command without a newline and half-closes still gets its response.
+  // A client that sends its last command without a newline and
+  // half-closes still gets its response, as over a pipe.
   TestServer server;
   const net::ScopedFd sock = net::tcp_connect(server.port());
   serve::FdTransport transport(sock.get());

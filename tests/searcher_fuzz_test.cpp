@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "fuzz_env.hpp"
-#include "search/iterative.hpp"
 #include "search/searcher.hpp"
 
 namespace {
@@ -152,36 +151,6 @@ TEST_P(SearcherFuzz, PathCostsAreSelfConsistent) {
     // Blind strategies may report a cost using a specific (possibly more
     // expensive) parallel edge; the recomputed minimum is a lower bound.
     EXPECT_LE(total, r.cost) << to_string(s);
-  }
-}
-
-TEST_P(SearcherFuzz, IdaStarMatchesDijkstraOnDags) {
-  // Layered DAG (no cycles) keeps IDA*'s on-path cycle check cheap.
-  std::mt19937_64 rng(GetParam() + 4000);
-  RandomGraph g;
-  const int layers = 8, width = 5;
-  const int n = layers * width;
-  g.adj.resize(static_cast<std::size_t>(n));
-  std::uniform_int_distribution<geom::Cost> w(1, 9);
-  std::uniform_int_distribution<int> pick(0, width - 1);
-  for (int l = 0; l + 1 < layers; ++l) {
-    for (int i = 0; i < width; ++i) {
-      const int u = l * width + i;
-      for (int k = 0; k < 2; ++k) {
-        g.adj[static_cast<std::size_t>(u)].push_back(
-            {(l + 1) * width + pick(rng), w(rng)});
-      }
-    }
-  }
-  g.goal = (layers - 1) * width + pick(rng);
-  const auto dist = dijkstra_reference(g, 0);
-  const geom::Cost expected = dist[static_cast<std::size_t>(g.goal)];
-  const auto r = search::ida_star(g, 0);
-  if (expected >= geom::kCostInf) {
-    EXPECT_FALSE(r.found);
-  } else {
-    ASSERT_TRUE(r.found);
-    EXPECT_EQ(r.cost, expected) << "seed " << GetParam();
   }
 }
 

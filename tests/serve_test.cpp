@@ -195,17 +195,6 @@ TEST(FairQueue, DeficitRoundRobinBoundsNeighborBurst) {
   EXPECT_GT(q.fair_rounds(), 0u);
 }
 
-TEST(FairQueue, WeightsScaleServicePerRound) {
-  // weight("hot") = 3: the hot shard drains three jobs per ring pass, the
-  // idle shard one — proportional service, still per-key FIFO.
-  serve::FairQueue<int> q(16);
-  q.set_weight("hot", 3);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push("hot", 100 + i));
-  for (int i = 0; i < 2; ++i) ASSERT_TRUE(q.try_push("idle", int{i}));
-  EXPECT_EQ(drain_order(q),
-            (std::vector<int>{100, 101, 102, 0, 103, 104, 105, 1}));
-}
-
 TEST(FairQueue, ShardStatsExposeSkew) {
   serve::FairQueue<int> q(16);
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.try_push("hot", int{i}));
@@ -233,9 +222,9 @@ TEST(FairQueue, ShardStatsExposeSkew) {
 
 TEST(RoutingService, HotSessionCannotStarveIdleNeighbor) {
   // The fairness differential at the service level: one worker, a 50-deep
-  // burst on session A, then a single request on session B.  Weighted-fair
-  // dispatch must answer B near the front (it waits behind at most one A
-  // job per DRR round from the moment it queues); the retired global FIFO
+  // burst on session A, then a single request on session B.  Fair dispatch
+  // must answer B near the front (it waits behind at most one A job per
+  // round from the moment it queues); the retired global FIFO
   // would have answered it dead last.
   const std::string text_a = workload_text(9, 12, 7);
   const std::string text_b = workload_text(9, 12, 8);
@@ -1111,7 +1100,10 @@ TEST(Protocol, TraceVerbDumpsSlowestRequests) {
   int lines = 0;
   while (std::getline(body, line)) {
     ASSERT_EQ(line.rfind("trace ", 0), 0u) << line;
-    EXPECT_NE(line.find("verb=route"), std::string::npos) << line;
+    // The cold LOAD builds on a worker, so it is traced like the ROUTEs.
+    EXPECT_TRUE(line.find("verb=route") != std::string::npos ||
+                line.find("verb=load") != std::string::npos)
+        << line;
     EXPECT_NE(line.find("status=ok"), std::string::npos) << line;
     const std::uint64_t total = meta_u64(line, "total_us");
     EXPECT_LE(total, prev) << "records must be sorted slowest-first";
@@ -1122,7 +1114,8 @@ TEST(Protocol, TraceVerbDumpsSlowestRequests) {
 
   const Frame all = next_frame(replies);
   ASSERT_EQ(all.status.rfind("OK ", 0), 0u);
-  EXPECT_EQ(meta_u64(all.status, "count"), 3u);  // default n=32 >= 3 records
+  // Default n=32 covers all four records: the LOAD and three ROUTEs.
+  EXPECT_EQ(meta_u64(all.status, "count"), 4u);
 
   for (const char* what : {"n=0", "n=257", "frob"}) {
     const Frame bad = next_frame(replies);

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -53,6 +54,17 @@ struct TempDir {
     if (!path.empty()) fs::remove_all(path, ec);
   }
 };
+
+/// Submits a pin request and waits for its response.
+serve::PinResponse pin_op(serve::RoutingService& service,
+                          serve::PinRequest req) {
+  auto done = std::make_shared<std::promise<serve::PinResponse>>();
+  std::future<serve::PinResponse> resp = done->get_future();
+  service.submit_pin(std::move(req), [done](serve::PinResponse r) {
+    done->set_value(std::move(r));
+  });
+  return resp.get();
+}
 
 /// Runs a scripted connection against an existing service and returns
 /// everything it wrote.
@@ -111,7 +123,7 @@ std::string write_snapshot(const fs::path& dir, const std::string& text) {
   pin.op = serve::PinRequest::Op::kPin;
   pin.key = session->key;
   pin.owner = owner;
-  const serve::PinResponse pinned = service.pin_op(std::move(pin));
+  const serve::PinResponse pinned = pin_op(service, std::move(pin));
   EXPECT_TRUE(pinned.ok()) << pinned.error;
 
   serve::PinRequest commit;
@@ -121,7 +133,7 @@ std::string write_snapshot(const fs::path& dir, const std::string& text) {
     commit.nets.push_back(net.name());
   }
   commit.owner = owner;
-  const serve::PinResponse committed = service.pin_op(std::move(commit));
+  const serve::PinResponse committed = pin_op(service, std::move(commit));
   EXPECT_TRUE(committed.ok()) << committed.error;
 
   serve::PinRequest save;
@@ -129,7 +141,7 @@ std::string write_snapshot(const fs::path& dir, const std::string& text) {
   save.key = pinned.handle;
   save.save_name = "codec.snap";
   save.owner = owner;
-  const serve::PinResponse saved = service.pin_op(std::move(save));
+  const serve::PinResponse saved = pin_op(service, std::move(save));
   EXPECT_TRUE(saved.ok()) << saved.error;
 
   std::ifstream in(dir / "codec.snap", std::ios::binary);
@@ -406,7 +418,7 @@ TEST(PinRegistry, OwnershipGatesMutations) {
   pin.op = serve::PinRequest::Op::kPin;
   pin.key = session->key;
   pin.owner = owner1;
-  const serve::PinResponse created = service.pin_op(std::move(pin));
+  const serve::PinResponse created = pin_op(service, std::move(pin));
   ASSERT_TRUE(created.ok()) << created.error;
 
   // Another connection can neither claim, mutate, nor release it.
@@ -414,20 +426,20 @@ TEST(PinRegistry, OwnershipGatesMutations) {
   steal.op = serve::PinRequest::Op::kPin;
   steal.key = created.handle;
   steal.owner = owner2;
-  EXPECT_FALSE(service.pin_op(std::move(steal)).ok());
+  EXPECT_FALSE(pin_op(service, std::move(steal)).ok());
 
   serve::PinRequest mutate;
   mutate.op = serve::PinRequest::Op::kCommit;
   mutate.key = created.handle;
   mutate.nets = {session->layout.nets()[0].name()};
   mutate.owner = owner2;
-  EXPECT_FALSE(service.pin_op(std::move(mutate)).ok());
+  EXPECT_FALSE(pin_op(service, std::move(mutate)).ok());
 
   serve::PinRequest unpin;
   unpin.op = serve::PinRequest::Op::kUnpin;
   unpin.key = created.handle;
   unpin.owner = owner2;
-  EXPECT_FALSE(service.pin_op(std::move(unpin)).ok());
+  EXPECT_FALSE(pin_op(service, std::move(unpin)).ok());
   EXPECT_EQ(service.pins().size(), 1u);
 
   // The owner's disconnect releases it.
@@ -489,7 +501,7 @@ TEST(FinalSave, RidesTicketChainSoInFlightMutationsLandInSnapshot) {
   pin.op = serve::PinRequest::Op::kPin;
   pin.key = session->key;
   pin.owner = owner;
-  const serve::PinResponse pinned = service.pin_op(std::move(pin));
+  const serve::PinResponse pinned = pin_op(service, std::move(pin));
   ASSERT_TRUE(pinned.ok()) << pinned.error;
 
   // The regression scenario: SIGINT lands while a COMMIT is still in the
@@ -549,7 +561,7 @@ TEST(FinalSave, RidesTicketChainSoInFlightMutationsLandInSnapshot) {
   claim.op = serve::PinRequest::Op::kPin;
   claim.key = pinned.handle;
   claim.owner = make_owner();
-  EXPECT_TRUE(restored.pin_op(std::move(claim)).ok());
+  EXPECT_TRUE(pin_op(restored, std::move(claim)).ok());
 }
 
 TEST(FinalSave, NonPreservingReleaseStillDestroysPins) {
@@ -566,7 +578,7 @@ TEST(FinalSave, NonPreservingReleaseStillDestroysPins) {
   pin.op = serve::PinRequest::Op::kPin;
   pin.key = session->key;
   pin.owner = owner;
-  ASSERT_TRUE(service.pin_op(std::move(pin)).ok());
+  ASSERT_TRUE(pin_op(service, std::move(pin)).ok());
   EXPECT_EQ(service.snapshot().pins_active, 1u);
 
   service.release_pins(owner);
@@ -589,7 +601,7 @@ TEST(FinalSave, PeriodicAutosaveSweepsHotPins) {
   pin.op = serve::PinRequest::Op::kPin;
   pin.key = session->key;
   pin.owner = owner;
-  const serve::PinResponse pinned = service.pin_op(std::move(pin));
+  const serve::PinResponse pinned = pin_op(service, std::move(pin));
   ASSERT_TRUE(pinned.ok()) << pinned.error;
 
   // The sweep runs every second and snapshots pins it does NOT own (the
