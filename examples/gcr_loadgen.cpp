@@ -420,7 +420,7 @@ int run_inproc(const Config& cfg, const std::string& layout_text,
         if (cfg.optimize) {
           serve::RouteRequest req;
           req.session_key = session->key;
-          req.optimize = true;
+          req.payload = route::OptimizeOptions{};
           const serve::RouteResponse resp = service.route(std::move(req));
           const bool good =
               resp.ok() && resp.passes.size() == optref->passes.size() &&

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "io/route_dump.hpp"
@@ -403,83 +404,83 @@ ClassifiedCommand classify_command(const std::string& line) {
 
 namespace {
 
+/// The fields every routing-pool verb shares.  The deadline is made
+/// absolute here; net names are resolved at admission.
+RouteRequest shared_request(const ParsedArgs& pa) {
+  RouteRequest req;
+  req.session_key = pa.positionals[0];
+  if (const KnobValue* v = pa.find("deadline_ms")) {
+    req.deadline = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(v->num);
+  }
+  if (const KnobValue* v = pa.find("nets")) req.net_names = v->list;
+  if (const KnobValue* v = pa.find("trace")) req.trace = v->flag;
+  return req;
+}
+
 /// ROUTE and REROUTE share knob -> field application; the rows differ only
 /// in nets= being required and mode= being rejected.
-RouteCommand build_route_command(const VerbSpec& verb,
-                                 const std::string& args) {
-  const ParsedArgs pa = parse_args(verb, args);
-  RouteCommand cmd;
-  cmd.session_key = pa.positionals[0];
-  if (const KnobValue* v = pa.find("mode")) cmd.opts.mode = v->mode;
+route::NetlistOptions netlist_options(const ParsedArgs& pa) {
+  route::NetlistOptions opts;
+  if (const KnobValue* v = pa.find("mode")) opts.mode = v->mode;
   if (const KnobValue* v = pa.find("threads")) {
-    cmd.opts.threads = static_cast<unsigned>(v->num);
+    opts.threads = static_cast<unsigned>(v->num);
   }
-  if (const KnobValue* v = pa.find("deadline_ms")) {
-    cmd.deadline = std::chrono::milliseconds(v->num);
-  }
-  if (const KnobValue* v = pa.find("sorted")) {
-    cmd.opts.sorted_dispatch = v->flag;
-  }
+  if (const KnobValue* v = pa.find("sorted")) opts.sorted_dispatch = v->flag;
   if (const KnobValue* v = pa.find("segments")) {
-    cmd.opts.steiner.connect_to_segments = v->flag;
+    opts.steiner.connect_to_segments = v->flag;
   }
-  if (const KnobValue* v = pa.find("nets")) cmd.nets = v->list;
-  if (const KnobValue* v = pa.find("trace")) cmd.trace = v->flag;
-  return cmd;
+  return opts;
 }
 
 }  // namespace
 
-RouteCommand parse_route_command(const std::string& args) {
-  return build_route_command(verb_for(CommandKind::kRoute), args);
+RouteRequest parse_route_command(const std::string& args) {
+  const ParsedArgs pa = parse_args(verb_for(CommandKind::kRoute), args);
+  RouteRequest req = shared_request(pa);
+  req.payload = RouteRequest::Route{netlist_options(pa)};
+  return req;
 }
 
-RouteCommand parse_reroute_command(const std::string& args) {
-  RouteCommand cmd = build_route_command(verb_for(CommandKind::kReroute), args);
-  cmd.opts.mode = route::NetlistMode::kSequential;
-  cmd.reroute = true;
-  return cmd;
+RouteRequest parse_reroute_command(const std::string& args) {
+  const ParsedArgs pa = parse_args(verb_for(CommandKind::kReroute), args);
+  RouteRequest req = shared_request(pa);
+  RouteRequest::Reroute reroute{netlist_options(pa)};
+  reroute.opts.mode = route::NetlistMode::kSequential;
+  req.payload = std::move(reroute);
+  return req;
 }
 
-RouteCommand parse_optimize_command(const std::string& args) {
+RouteRequest parse_optimize_command(const std::string& args) {
   const ParsedArgs pa = parse_args(verb_for(CommandKind::kOptimize), args);
-  RouteCommand cmd;
-  cmd.session_key = pa.positionals[0];
-  cmd.optimize = true;
-  cmd.opts.mode = route::NetlistMode::kSequential;
+  RouteRequest req = shared_request(pa);
+  route::OptimizeOptions opts;
   if (const KnobValue* v = pa.find("passes")) {
-    cmd.passes = static_cast<std::size_t>(v->num);
+    opts.max_passes = static_cast<std::size_t>(v->num);
   }
   if (const KnobValue* v = pa.find("budget_ms")) {
-    cmd.budget = std::chrono::milliseconds(v->num);
-  }
-  if (const KnobValue* v = pa.find("deadline_ms")) {
-    cmd.deadline = std::chrono::milliseconds(v->num);
+    opts.budget = std::chrono::milliseconds(v->num);
   }
   if (const KnobValue* v = pa.find("segments")) {
-    cmd.opts.steiner.connect_to_segments = v->flag;
+    opts.steiner.connect_to_segments = v->flag;
   }
-  if (const KnobValue* v = pa.find("trace")) cmd.trace = v->flag;
-  return cmd;
+  req.payload = std::move(opts);
+  return req;
 }
 
-RouteCommand parse_stage_command(pipeline::StageKind kind,
-                                 const std::string& args) {
-  const CommandKind ck = kind == pipeline::StageKind::kDetail
-                             ? CommandKind::kDetail
-                         : kind == pipeline::StageKind::kCongest
-                             ? CommandKind::kCongest
-                         : kind == pipeline::StageKind::kVerify
-                             ? CommandKind::kVerify
-                             : CommandKind::kSvg;
-  const ParsedArgs pa = parse_args(verb_for(ck), args);
-  RouteCommand cmd;
-  cmd.session_key = pa.positionals[0];
+RouteRequest parse_stage_command(CommandKind kind, const std::string& args) {
   pipeline::StageOptions sopts;
-  sopts.kind = kind;
-  if (const KnobValue* v = pa.find("deadline_ms")) {
-    cmd.deadline = std::chrono::milliseconds(v->num);
-  }
+  sopts.kind = [kind] {
+    switch (kind) {
+      case CommandKind::kDetail: return pipeline::StageKind::kDetail;
+      case CommandKind::kCongest: return pipeline::StageKind::kCongest;
+      case CommandKind::kVerify: return pipeline::StageKind::kVerify;
+      case CommandKind::kSvg: return pipeline::StageKind::kSvg;
+      default: throw std::logic_error("parse_stage_command: not a stage verb");
+    }
+  }();
+  const ParsedArgs pa = parse_args(verb_for(kind), args);
+  RouteRequest req = shared_request(pa);
   if (const KnobValue* v = pa.find("window")) {
     sopts.channel_window = static_cast<geom::Coord>(v->num);
   }
@@ -504,9 +505,8 @@ RouteCommand parse_stage_command(pipeline::StageKind kind,
   if (const KnobValue* v = pa.find("scale")) sopts.scale = v->real;
   if (const KnobValue* v = pa.find("pins")) sopts.draw_pins = v->flag;
   if (const KnobValue* v = pa.find("names")) sopts.draw_cell_names = v->flag;
-  if (const KnobValue* v = pa.find("trace")) cmd.trace = v->flag;
-  cmd.stage = sopts;
-  return cmd;
+  req.payload = sopts;
+  return req;
 }
 
 const char* to_string(GenCommand::Kind k) noexcept {
@@ -611,23 +611,6 @@ unsigned long long parse_load_count(const std::string& line) {
     throw std::runtime_error("LOAD needs exactly one byte count");
   }
   return parse_count(words[1], "LOAD byte count");
-}
-
-RouteRequest to_request(const RouteCommand& cmd) {
-  RouteRequest req;
-  req.session_key = cmd.session_key;
-  req.opts = cmd.opts;
-  req.net_names = cmd.nets;
-  req.reroute = cmd.reroute;
-  req.optimize = cmd.optimize;
-  req.optimize_passes = cmd.passes;
-  req.optimize_budget = cmd.budget;
-  req.stage = cmd.stage;
-  req.trace = cmd.trace;
-  if (cmd.deadline) {
-    req.deadline = std::chrono::steady_clock::now() + *cmd.deadline;
-  }
-  return req;
 }
 
 std::string format_ok(const std::string& meta, const std::string& body) {
@@ -860,29 +843,19 @@ std::string format_gen_ok(const LayoutSession& session, bool cached,
 
 namespace {
 
-pipeline::StageKind stage_kind_of(CommandKind kind) {
-  switch (kind) {
-    case CommandKind::kDetail: return pipeline::StageKind::kDetail;
-    case CommandKind::kCongest: return pipeline::StageKind::kCongest;
-    case CommandKind::kVerify: return pipeline::StageKind::kVerify;
-    default: return pipeline::StageKind::kSvg;
-  }
-}
-
 /// Hands a parsed routing-pool command to the workers.  The worker renders
 /// the frame with \p format — route dumps and SVG bodies are the expensive
 /// part of a response — and OPTIMIZE's PASS lines stream through the same
 /// sink ahead of it.
-void submit_route(RoutingService& service, const RouteCommand& cmd,
+void submit_route(RoutingService& service, RouteRequest req,
                   std::chrono::steady_clock::time_point received,
                   Responder& responder,
                   std::string (*format)(const RouteResponse&)) {
-  RouteRequest req = to_request(cmd);
   req.received = received;
   req.cancel = responder.owner();
   ReplySink sink = responder.hand_off(/*barrier=*/false);
-  if (req.optimize) {
-    req.progress = [sink](const route::OptimizePassStats& stats) {
+  if (auto* optimize = std::get_if<route::OptimizeOptions>(&req.payload)) {
+    optimize->progress = [sink](const route::OptimizePassStats& stats) {
       sink(format_pass_progress(stats), /*final=*/false);
     };
   }
@@ -915,8 +888,8 @@ void dispatch(RoutingService& service, FrameParser::Event& ev,
     if (ev.kind == FrameParser::EventKind::kFatal) responder.close_after();
     return;
   }
-  // span_parse_us origin: classification, knob validation, and request
-  // lowering are the front-end's own cost, reported outside total_us.
+  // span_parse_us origin: classification and parsing into a request are
+  // the front-end's own cost, reported outside total_us.
   const auto received = std::chrono::steady_clock::now();
   const ClassifiedCommand cmd = classify_command(ev.line);
   // Only the parse_* calls throw, and each runs before its command is
@@ -961,24 +934,27 @@ void dispatch(RoutingService& service, FrameParser::Event& ev,
         return;
       }
       case CommandKind::kRoute:
+        submit_route(service, parse_route_command(cmd.args), received,
+                     responder, format_route_response);
+        return;
       case CommandKind::kReroute: {
-        const RouteCommand rc = cmd.kind == CommandKind::kRoute
-                                    ? parse_route_command(cmd.args)
-                                    : parse_reroute_command(cmd.args);
+        RouteRequest req = parse_reroute_command(cmd.args);
         // REROUTE against a pin handle reroutes the pin's own committed
         // remainder (owner-gated, serialized on the pin's ticket chain)
         // instead of the shared stateless path.  The registry probe is one
         // locked map lookup.
-        if (rc.reroute && service.pins().find(rc.session_key) != nullptr) {
+        if (service.pins().find(req.session_key) != nullptr) {
           PinRequest preq;
           preq.op = PinRequest::Op::kReroute;
-          preq.key = rc.session_key;
-          preq.nets = rc.nets;
-          preq.wire_halo = rc.opts.wire_halo;
+          preq.key = req.session_key;
+          preq.nets = std::move(req.net_names);
+          preq.wire_halo =
+              std::get<RouteRequest::Reroute>(req.payload).opts.wire_halo;
           submit_pin(service, std::move(preq), responder);
           return;
         }
-        submit_route(service, rc, received, responder, format_route_response);
+        submit_route(service, std::move(req), received, responder,
+                     format_route_response);
         return;
       }
       case CommandKind::kOptimize:
@@ -989,8 +965,7 @@ void dispatch(RoutingService& service, FrameParser::Event& ev,
       case CommandKind::kCongest:
       case CommandKind::kVerify:
       case CommandKind::kSvg:
-        submit_route(service,
-                     parse_stage_command(stage_kind_of(cmd.kind), cmd.args),
+        submit_route(service, parse_stage_command(cmd.kind, cmd.args),
                      received, responder, format_stage_response);
         return;
       case CommandKind::kGen: {

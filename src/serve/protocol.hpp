@@ -1,13 +1,11 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -292,50 +290,30 @@ struct ClassifiedCommand {
 /// command by verb-table lookup — dispatch()'s keyword-routing point.
 [[nodiscard]] ClassifiedCommand classify_command(const std::string& line);
 
-/// A parsed ROUTE or REROUTE command.
-struct RouteCommand {
-  std::string session_key;
-  route::NetlistOptions opts;
-  std::optional<std::chrono::milliseconds> deadline;
-  /// `nets=` list (net names, list order preserved); empty = all nets.
-  std::vector<std::string> nets;
-  /// REROUTE: `nets` is the rip-up set, not a subset restriction.
-  bool reroute = false;
-  /// OPTIMIZE: run the iterated rip-up engine (passes/budget below apply).
-  bool optimize = false;
-  /// OPTIMIZE passes= (0 = engine default).
-  std::size_t passes = 0;
-  /// OPTIMIZE budget_ms= (zero = unbounded).
-  std::chrono::milliseconds budget{0};
-  /// Stage verbs (DETAIL/CONGEST/VERIFY/SVG): the selected stage + knobs.
-  std::optional<pipeline::StageOptions> stage;
-  /// `trace=1`: echo the span breakdown in the response meta.
-  bool trace = false;
-};
-
 /// Parses the ROUTE argument vector (everything after the keyword) through
-/// the verb table.  Throws std::runtime_error with token context on
-/// unknown or malformed options.
-[[nodiscard]] RouteCommand parse_route_command(const std::string& args);
+/// the verb table into a service request (deadline made absolute, net names
+/// handed over for admission-time resolution).  Throws std::runtime_error
+/// with token context on unknown or malformed options.
+[[nodiscard]] RouteRequest parse_route_command(const std::string& args);
 
 /// Parses a REROUTE argument vector: the ROUTE grammar, except `nets=` is
 /// required (an empty rip-up set would silently be a plain route) and
 /// `mode=` is rejected — rip-up-and-reroute is sequential by definition.
 /// Throws std::runtime_error like parse_route_command.
-[[nodiscard]] RouteCommand parse_reroute_command(const std::string& args);
+[[nodiscard]] RouteRequest parse_reroute_command(const std::string& args);
 
 /// Parses an OPTIMIZE argument vector: `passes=<n>` (1..1024),
 /// `budget_ms=<n>`, plus ROUTE's `deadline_ms=`/`segments=`.  Everything
 /// else — mode=, nets=, threads=, sorted= — is rejected: the engine is
 /// sequential whole-netlist by definition.  Throws std::runtime_error like
 /// parse_route_command.
-[[nodiscard]] RouteCommand parse_optimize_command(const std::string& args);
+[[nodiscard]] RouteRequest parse_optimize_command(const std::string& args);
 
 /// Parses a stage-verb argument vector (everything after DETAIL / CONGEST /
 /// VERIFY / SVG): `<session> [key=value]…` with the stage's knobs plus
-/// `deadline_ms=`.  \p kind selects the verb row.  Throws
-/// std::runtime_error with token context like parse_route_command.
-[[nodiscard]] RouteCommand parse_stage_command(pipeline::StageKind kind,
+/// `deadline_ms=`.  \p kind names the verb.  Throws std::runtime_error
+/// with token context like parse_route_command.
+[[nodiscard]] RouteRequest parse_stage_command(CommandKind kind,
                                                const std::string& args);
 
 /// A parsed GEN command: which generator and its knobs.  Defaults mirror
@@ -376,10 +354,6 @@ struct GenCommand {
 /// the count is missing, non-numeric, or out of range — the caller must
 /// treat that as a lost stream position.  The FrameParser's LOAD framing.
 [[nodiscard]] unsigned long long parse_load_count(const std::string& line);
-
-/// Lowers a parsed command into a service request (deadline made absolute,
-/// net names handed over for admission-time resolution).
-[[nodiscard]] RouteRequest to_request(const RouteCommand& cmd);
 
 /// Renders one `OK` frame: status line (`OK <body.size()> <meta>`) + body.
 [[nodiscard]] std::string format_ok(const std::string& meta,
@@ -483,7 +457,7 @@ class Responder {
 /// The single per-verb handler both front-ends call: answers one framer
 /// event.  Framing errors and malformed command lines answer ERR (the
 /// connection continues, except after a fatal framing error); everything
-/// else is classified, parsed through the verb table, lowered to a service
+/// else is classified, parsed through the verb table into a service
 /// request, and answered inline (STATS, HELLO, TRACE, resident LOAD, parse
 /// errors) or on a worker, which also renders the frame.  Moves the LOAD
 /// body out of \p ev.

@@ -1,11 +1,18 @@
 #include "serve/routing_service.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <optional>
 #include <utility>
+#include <variant>
 
 #include "core/steiner.hpp"
 #include "io/route_dump.hpp"
@@ -24,19 +31,88 @@ std::uint64_t micros_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
-/// The latency shard a route-family request records into.
-VerbKind classify_verb(const RouteRequest& req) {
-  if (req.stage.has_value()) {
-    switch (req.stage->kind) {
-      case pipeline::StageKind::kDetail: return VerbKind::kDetail;
-      case pipeline::StageKind::kCongest: return VerbKind::kCongest;
-      case pipeline::StageKind::kVerify: return VerbKind::kVerify;
-      case pipeline::StageKind::kSvg: return VerbKind::kSvg;
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
+/// The latency shard and TRACE label of a route-family request.
+VerbKind verb_of(const RouteRequest::Payload& payload) {
+  return std::visit(
+      Overloaded{
+          [](const RouteRequest::Route&) { return VerbKind::kRoute; },
+          [](const RouteRequest::Reroute&) { return VerbKind::kReroute; },
+          [](const route::OptimizeOptions&) { return VerbKind::kOptimize; },
+          [](const pipeline::StageOptions& stage) {
+            switch (stage.kind) {
+              case pipeline::StageKind::kDetail: return VerbKind::kDetail;
+              case pipeline::StageKind::kCongest: return VerbKind::kCongest;
+              case pipeline::StageKind::kVerify: return VerbKind::kVerify;
+              case pipeline::StageKind::kSvg: break;
+            }
+            return VerbKind::kSvg;
+          }},
+      payload);
+}
+
+/// Closes a descriptor when it goes out of scope.
+struct FdGuard {
+  explicit FdGuard(int descriptor) : fd(descriptor) {}
+  ~FdGuard() {
+    if (fd >= 0) ::close(fd);
+  }
+  FdGuard(const FdGuard&) = delete;
+  FdGuard& operator=(const FdGuard&) = delete;
+
+  int fd;
+};
+
+/// Publishes \p blob as `dir/name`, atomically and durably.  The bytes go
+/// to a temp file of their own in the same directory — concurrent saves
+/// under one name never share it — which is fsynced, renamed over the
+/// target, and followed by an fsync of the directory so the rename itself
+/// survives a crash.  Returns the error text, empty on success.
+std::string write_file_durably(const std::filesystem::path& dir,
+                               const std::string& name,
+                               const std::string& blob) {
+  // SAVE names never start with a dot, so the temp file cannot shadow one.
+  std::string tmp = (dir / ("." + name + ".XXXXXX")).string();
+  std::string error;
+  {
+    const FdGuard file(::mkstemp(tmp.data()));
+    if (file.fd < 0) {
+      return "cannot write snapshot file in '" + dir.string() +
+             "': " + std::strerror(errno);
+    }
+    for (std::size_t off = 0; off < blob.size() && error.empty();) {
+      const ssize_t n = ::write(file.fd, blob.data() + off, blob.size() - off);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        error = "short write to snapshot file '" + tmp + "'";
+      } else {
+        off += static_cast<std::size_t>(n);
+      }
+    }
+    if (error.empty() && ::fsync(file.fd) != 0) {
+      error = "cannot sync snapshot file '" + tmp + "'";
     }
   }
-  if (req.optimize) return VerbKind::kOptimize;
-  if (req.reroute) return VerbKind::kReroute;
-  return VerbKind::kRoute;
+  if (error.empty() &&
+      ::rename(tmp.c_str(), (dir / name).string().c_str()) != 0) {
+    error = std::string("cannot publish snapshot file: ") +
+            std::strerror(errno);
+  }
+  if (!error.empty()) {
+    ::unlink(tmp.c_str());
+    return error;
+  }
+  const FdGuard dir_fd(::open(dir.string().c_str(), O_RDONLY | O_DIRECTORY));
+  if (dir_fd.fd < 0 || ::fsync(dir_fd.fd) != 0) {
+    return "cannot sync snapshot directory '" + dir.string() + "'";
+  }
+  return {};
 }
 
 }  // namespace
@@ -103,76 +179,49 @@ std::future<RouteResponse> RoutingService::submit(RouteRequest req) {
 
 void RoutingService::submit(RouteRequest req, RouteCallback done) {
   metrics_.requests_submitted.fetch_add(1, std::memory_order_relaxed);
-  const auto now = std::chrono::steady_clock::now();
-
-  const auto fail_now = [&](RouteStatus status, std::string error = {}) {
-    RouteResponse resp;
-    resp.status = status;
-    resp.error = std::move(error);
-    done(std::move(resp));
-  };
+  Job job(verb_of(req.payload), req.session_key,
+          RouteWork{{}, {}, std::move(done)});
+  RouteWork& work = std::get<RouteWork>(job.work);
+  if (req.received != std::chrono::steady_clock::time_point{} &&
+      req.received <= job.submitted) {
+    job.trace.parse_us = micros_between(req.received, job.submitted);
+  }
 
   // Resolve the session at admission: an unknown handle must fail fast, not
   // burn a queue slot and a worker wake-up.
-  std::shared_ptr<const LayoutSession> session = cache_.find(req.session_key);
-  if (session == nullptr) {
-    metrics_.requests_not_found.fetch_add(1, std::memory_order_relaxed);
-    return fail_now(RouteStatus::kSessionNotFound);
+  work.session = cache_.find(req.session_key);
+  if (work.session == nullptr) {
+    return refuse(job, RouteStatus::kSessionNotFound);
   }
 
   // Resolve a net-name list against the session while we still can answer
   // with a precise diagnostic; by worker time the client context is gone.
   // ROUTE lists become a subset restriction, REROUTE lists the rip-up set.
   if (!req.net_names.empty()) {
+    const LayoutSession& session = *work.session;
     std::vector<std::size_t> indices;
     indices.reserve(req.net_names.size());
-    std::vector<bool> taken(session->layout.nets().size(), false);
+    std::vector<bool> taken(session.layout.nets().size(), false);
     for (const std::string& name : req.net_names) {
-      const auto it = session->net_index.find(name);
-      if (it == session->net_index.end()) {
-        metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
-        return fail_now(RouteStatus::kError, "unknown net '" + name + "'");
+      const auto it = session.net_index.find(name);
+      if (it == session.net_index.end()) {
+        return refuse(job, RouteStatus::kError, "unknown net '" + name + "'");
       }
       if (taken[it->second]) continue;  // duplicate name: route once
       taken[it->second] = true;
       indices.push_back(it->second);
     }
-    if (req.reroute) {
-      req.opts.reroute = std::move(indices);
-      req.opts.subset.clear();
-    } else {
-      req.opts.subset = std::move(indices);
+    if (auto* reroute = std::get_if<RouteRequest::Reroute>(&req.payload)) {
+      reroute->opts.reroute = std::move(indices);
+      reroute->opts.subset.clear();
+    } else if (auto* route = std::get_if<RouteRequest::Route>(&req.payload)) {
+      route->opts.subset = std::move(indices);
     }
   }
-
-  Job job;
-  job.req = std::move(req);
-  job.session = std::move(session);
-  job.done = std::move(done);
-  job.submitted = now;
-  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.verb = classify_verb(job.req);
-  if (job.req.received != std::chrono::steady_clock::time_point{} &&
-      job.req.received <= now) {
-    job.trace.parse_us = micros_between(job.req.received, now);
-  }
-  // Admission work (session resolve, net-name resolution) is the span
-  // between the origin and here; the queue span starts at this stamp.
-  job.trace.enqueue_us =
-      micros_between(now, std::chrono::steady_clock::now());
+  work.req = std::move(req);
   // Shard by session: fair dispatch is per layout, so one session's burst
-  // queues behind itself instead of in front of everyone else.  The key is
-  // copied out before the push — try_push moves the job (and the string
-  // the key aliases) on success.
-  const std::string shard = job.req.session_key;
-  if (!queue_.try_push(shard, std::move(job))) {
-    // try_push moves only on success, so the rejected job still owns its
-    // callback and can deliver the rejection.
-    metrics_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    RouteResponse resp;
-    resp.status = RouteStatus::kRejected;
-    job.done(std::move(resp));
-  }
+  // queues behind itself instead of in front of everyone else.
+  admit(std::move(job), job.label);
 }
 
 RouteResponse RoutingService::route(RouteRequest req) {
@@ -180,17 +229,11 @@ RouteResponse RoutingService::route(RouteRequest req) {
 }
 
 void RoutingService::submit_pin(PinRequest req, PinCallback done) {
-  const auto now = std::chrono::steady_clock::now();
-  const auto fail_now = [&](RouteStatus status, std::string error = {}) {
-    metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
-    PinResponse resp;
-    resp.status = status;
-    resp.error = std::move(error);
-    done(std::move(resp));
-  };
+  Job job(VerbKind::kPin, req.key, PinWork{{}, {}, {}, 0, std::move(done)});
+  PinWork& work = std::get<PinWork>(job.work);
   if (req.owner == nullptr) {
-    return fail_now(RouteStatus::kError,
-                    "pin request without a connection identity");
+    return refuse(job, RouteStatus::kError,
+                  "pin request without a connection identity");
   }
 
   std::shared_ptr<PinnedSession> pin = pins_.find(req.key);
@@ -199,32 +242,18 @@ void RoutingService::submit_pin(PinRequest req, PinCallback done) {
     // worker; no ticket — the pin does not exist yet, so nothing to order
     // against (and the client cannot address it before the reply names
     // the handle).
-    std::shared_ptr<const LayoutSession> session = cache_.find(req.key);
-    if (session == nullptr) return fail_now(RouteStatus::kSessionNotFound);
-    Job job;
-    job.kind = Job::Kind::kPin;
-    job.verb = VerbKind::kPin;
-    job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-    job.pin_req = std::move(req);
-    job.session = std::move(session);
-    job.pin_done = std::move(done);
-    job.submitted = now;
-    job.trace.enqueue_us =
-        micros_between(now, std::chrono::steady_clock::now());
+    work.session = cache_.find(req.key);
+    if (work.session == nullptr) {
+      return refuse(job, RouteStatus::kSessionNotFound);
+    }
+    work.req = std::move(req);
     // Derive shards under the *base session* key: the handle does not
     // exist yet, and the copy-on-pin competes with that session's routes.
-    const std::string shard = job.pin_req.key;
-    if (!queue_.try_push(shard, std::move(job))) {
-      metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
-      PinResponse resp;
-      resp.status = RouteStatus::kRejected;
-      job.pin_done(std::move(resp));
-    }
-    return;
+    return admit(std::move(job), job.label);
   }
   if (pin == nullptr) {
-    return fail_now(RouteStatus::kSessionNotFound,
-                    "no pin '" + req.key + "'");
+    return refuse(job, RouteStatus::kSessionNotFound,
+                  "no pin '" + req.key + "'");
   }
   // Advisory ownership pre-check (claims excepted — claiming an unowned
   // pin is the point; system sweeps too — the autosaver snapshots pins it
@@ -232,31 +261,15 @@ void RoutingService::submit_pin(PinRequest req, PinCallback done) {
   // op's turn comes up.
   if (req.op != PinRequest::Op::kPin && !req.system &&
       !pins_.verify(pin, req.owner)) {
-    return fail_now(RouteStatus::kError, "pin '" + req.key +
-                                             "' is owned by another "
-                                             "connection");
+    return refuse(job, RouteStatus::kError,
+                  "pin '" + req.key + "' is owned by another connection");
   }
-  Job job;
-  job.kind = Job::Kind::kPin;
-  job.verb = VerbKind::kPin;
-  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.pin = std::move(pin);
-  job.pin_ticket = job.pin->acquire_ticket();
-  job.pin_req = std::move(req);
-  job.pin_done = std::move(done);
-  job.submitted = now;
-  job.trace.enqueue_us =
-      micros_between(now, std::chrono::steady_clock::now());
+  work.pin = std::move(pin);
+  work.ticket = work.pin->acquire_ticket();
+  work.req = std::move(req);
   // Mutations shard by handle: the pin's FIFO ticket chain and its queue
   // shard agree on order, and a busy pin cannot starve other sessions.
-  const std::string shard = job.pin->handle;
-  if (!queue_.try_push(shard, std::move(job))) {
-    metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
-    job.pin->abort_turn(job.pin_ticket);
-    PinResponse resp;
-    resp.status = RouteStatus::kRejected;
-    job.pin_done(std::move(resp));
-  }
+  admit(std::move(job), work.pin->handle);
 }
 
 void RoutingService::release_pins(
@@ -325,74 +338,320 @@ void RoutingService::submit_load(std::string text, std::string key,
                                  std::shared_ptr<std::atomic<bool>> cancel,
                                  LoadCallback done) {
   metrics_.loads_offloaded.fetch_add(1, std::memory_order_relaxed);
-  Job job;
-  job.kind = Job::Kind::kLoad;
-  job.verb = VerbKind::kLoad;
-  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.load_text = std::move(text);
-  job.load_key = std::move(key);
-  job.load_cancel = std::move(cancel);
-  job.load_done = std::move(done);
-  job.submitted = std::chrono::steady_clock::now();
+  Job job(VerbKind::kLoad, std::move(key),
+          LoadWork{std::move(text), {}, std::move(cancel), std::move(done)});
   // The load key IS the session content key, so a cold LOAD queues in the
   // same shard as that session's routes — fair against other sessions,
   // ordered within its own.
-  const std::string shard = job.load_key;
-  if (!queue_.try_push(shard, std::move(job))) {
-    metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
-    LoadResponse resp;
-    resp.error = "rejected";
-    job.load_done(std::move(resp));
-  }
+  admit(std::move(job), job.label);
 }
 
 void RoutingService::submit_gen(std::function<std::string()> synth,
                                 std::shared_ptr<std::atomic<bool>> cancel,
                                 LoadCallback done) {
   metrics_.loads_offloaded.fetch_add(1, std::memory_order_relaxed);
-  Job job;
-  job.kind = Job::Kind::kLoad;
-  job.verb = VerbKind::kGen;
-  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.load_synth = std::move(synth);
-  job.load_cancel = std::move(cancel);
-  job.load_done = std::move(done);
-  job.submitted = std::chrono::steady_clock::now();
+  Job job(VerbKind::kGen, {},
+          LoadWork{{}, std::move(synth), std::move(cancel), std::move(done)});
   // All GENs share one shard: synthesis has no session identity yet, and
-  // pooling them keeps a generation storm to one DRR turn per round.
-  const std::string shard = "gen";
+  // pooling them keeps a generation storm to one turn per round.
+  admit(std::move(job), "gen");
+}
+
+void RoutingService::admit(Job&& job, std::string shard) {
+  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Admission work (session resolve, net-name resolution) is the span
+  // between the origin and here; the queue span starts at this stamp.
+  job.trace.enqueue_us =
+      micros_between(job.submitted, std::chrono::steady_clock::now());
+  // try_push moves only on success, so a rejected job still owns its
+  // callback and can deliver the rejection.
   if (!queue_.try_push(shard, std::move(job))) {
-    metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
-    metrics_.gens_failed.fetch_add(1, std::memory_order_relaxed);
-    LoadResponse resp;
-    resp.error = "rejected";
-    job.load_done(std::move(resp));
+    refuse(job, RouteStatus::kRejected);
   }
 }
 
-void RoutingService::run_load_job(Job& job) {
-  // Deliberately not recorded into the *global* latency/queue-wait
-  // histograms: those are what STATS reports as routing percentiles, and
-  // one cold environment build would distort p95/p99 for every dashboard
-  // reading them.  LOAD/GEN latency lives in its own verb shard (and in
-  // the slow-request ring) instead.
-  job.trace.dequeue_us =
+void RoutingService::refuse(Job& job, RouteStatus status, std::string error) {
+  std::visit(
+      Overloaded{
+          [&](RouteWork& work) {
+            (status == RouteStatus::kRejected ? metrics_.requests_rejected
+             : status == RouteStatus::kSessionNotFound
+                 ? metrics_.requests_not_found
+                 : metrics_.requests_errored)
+                .fetch_add(1, std::memory_order_relaxed);
+            RouteResponse resp;
+            resp.status = status;
+            resp.error = std::move(error);
+            work.done(std::move(resp));
+          },
+          [&](LoadWork& work) {
+            metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
+            if (job.verb == VerbKind::kGen) {
+              metrics_.gens_failed.fetch_add(1, std::memory_order_relaxed);
+            }
+            LoadResponse resp;
+            resp.error = to_string(status);
+            work.done(std::move(resp));
+          },
+          [&](PinWork& work) {
+            metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
+            if (work.pin != nullptr) work.pin->abort_turn(work.ticket);
+            PinResponse resp;
+            resp.status = status;
+            resp.error = std::move(error);
+            work.done(std::move(resp));
+          }},
+      job.work);
+}
+
+std::uint64_t RoutingService::complete(Job& job, RouteStatus status) {
+  // One clock read produces both the reported latency and the trace's
+  // total_us — the rendered span deltas sum to total_us exactly.
+  const std::uint64_t total =
       micros_between(job.submitted, std::chrono::steady_clock::now());
-  LoadResponse resp;
-  if (job.load_cancel &&
-      job.load_cancel->load(std::memory_order_relaxed)) {
-    resp.error = "cancelled";  // peer gone: skip the expensive build
+  RequestTrace& trace = job.trace;
+  // LOAD/GEN stay out of the *global* histograms: those are what STATS
+  // reports as routing percentiles, and one cold environment build would
+  // distort p95/p99 for every dashboard reading them.  Their latency lives
+  // in their own verb shard (and in the slow-request ring) instead.
+  if (job.verb != VerbKind::kLoad && job.verb != VerbKind::kGen) {
+    metrics_.queue_wait.record(trace.dequeue_us);
+    metrics_.latency.record(total);
+  }
+  // Early-out paths (cancel/expiry at dequeue, admission-stage errors) skip
+  // some stamps; clamp forward so the chain stays monotone with zero-width
+  // spans for the phases that never ran.
+  if (trace.dequeue_us < trace.enqueue_us) trace.dequeue_us = trace.enqueue_us;
+  if (trace.env_us < trace.dequeue_us) trace.env_us = trace.dequeue_us;
+  if (trace.exec_us < trace.env_us) trace.exec_us = trace.env_us;
+  trace.total_us = total;
+  metrics_.verb_latency[static_cast<std::size_t>(job.verb)].record(total);
+  SlowRecord rec;
+  rec.id = job.id;
+  rec.verb = job.verb;
+  rec.session = job.label;
+  rec.status = to_string(status);
+  rec.trace = trace;
+  slow_ring_.offer(std::move(rec));
+  return total;
+}
+
+RouteStatus RoutingService::stopped(
+    const std::shared_ptr<std::atomic<bool>>& cancel) {
+  // The cancel token wins; otherwise it was the deadline.
+  const bool was_cancel = cancel && cancel->load(std::memory_order_relaxed);
+  (was_cancel ? metrics_.requests_cancelled : metrics_.requests_expired)
+      .fetch_add(1, std::memory_order_relaxed);
+  return was_cancel ? RouteStatus::kCancelled : RouteStatus::kExpired;
+}
+
+void RoutingService::worker_loop() {
+  // pop() returns nullopt once the queue is closed and drained.
+  while (std::optional<Job> job = queue_.pop()) {
+    job->trace.dequeue_us =
+        micros_between(job->submitted, std::chrono::steady_clock::now());
+    std::visit([&](auto& work) { run(*job, work); }, job->work);
+  }
+}
+
+/// Runs one route-family verb on a worker: each call fills the response
+/// and returns its status.  Every span stamp is an offset from submission.
+struct RoutingService::VerbRunner {
+  RoutingService& service;
+  Job& job;
+  RouteWork& work;
+  RouteResponse& resp;
+
+  [[nodiscard]] std::uint64_t now_us() const {
+    return micros_between(job.submitted, std::chrono::steady_clock::now());
+  }
+
+  RouteStatus operator()(RouteRequest::Route& verb) const {
+    // A subset result holds only the requested nets: only a whole-netlist
+    // pass is committed.
+    return pass(verb.opts, verb.opts.subset, verb.opts.subset.empty());
+  }
+
+  RouteStatus operator()(RouteRequest::Reroute& verb) const {
+    // The result carries the whole netlist around the rip-up set; the dump
+    // shows only the re-routed nets (the rest was the committed backdrop).
+    return pass(verb.opts, verb.opts.reroute, /*commit=*/true);
+  }
+
+  RouteStatus operator()(route::OptimizeOptions& opts) const {
+    opts.deadline = work.req.deadline;
+    opts.cancel = work.req.cancel;
+    // Per-pass sub-spans: wrap the caller's progress hook so every
+    // completed pass leaves a trace stamp (same origin as the spans).
+    opts.progress = [user = std::move(opts.progress), this](
+                        const route::OptimizePassStats& p) {
+      job.trace.subs.push_back({"pass" + std::to_string(p.pass), now_us()});
+      if (user) user(p);
+    };
+    const route::Optimizer optimizer(work.session->layout, work.session->env);
+    job.trace.env_us = now_us();
+    route::OptimizeReport report = optimizer.run(opts);
+    job.trace.exec_us = now_us();
+    // The client vanished mid-run (pass-boundary check): nothing wants the
+    // result.  PASS lines already streamed are fine — the peer that would
+    // have read them is gone.
+    if (report.cancelled) return service.stopped(work.req.cancel);
+    resp.result = std::move(report.result);
+    resp.passes = std::move(report.passes);
+    service.metrics_.optimizes_ok.fetch_add(1, std::memory_order_relaxed);
+    service.metrics_.optimize_passes.fetch_add(
+        resp.passes.empty() ? 0 : resp.passes.size() - 1,
+        std::memory_order_relaxed);
+    return publish(/*commit=*/true);
+  }
+
+  RouteStatus operator()(const pipeline::StageOptions& sopts) const {
+    RouteStatus status = RouteStatus::kError;
+    try {
+      status = stage(sopts);
+    } catch (...) {
+      service.metrics_.stages_failed.fetch_add(1, std::memory_order_relaxed);
+      throw;
+    }
+    (status == RouteStatus::kOk ? service.metrics_.stages_ok
+                                : service.metrics_.stages_failed)
+        .fetch_add(1, std::memory_order_relaxed);
+    return status;
+  }
+
+  /// ROUTE/REROUTE: one NetlistRouter pass; \p dump restricts the response
+  /// dump (empty = every net).
+  RouteStatus pass(route::NetlistOptions& opts,
+                   const std::vector<std::size_t>& dump, bool commit) const {
+    // The session's environment is injected, so this call performs no
+    // ObstacleIndex / EscapeLineSet construction — the cache already paid
+    // for both.  That holds for *sequential* mode too: the router copies
+    // the shared environment and absorbs routed nets with incremental
+    // commit_route updates instead of per-net rebuilds.
+    const route::NetlistRouter router(work.session->layout,
+                                      work.session->env);
+    opts.deadline = work.req.deadline;
+    opts.cancel = work.req.cancel;
+    job.trace.env_us = now_us();
+    resp.result = router.route_all(opts);
+    job.trace.exec_us = now_us();
+    if (resp.result.cancelled) {
+      // Stopped between nets: the partial result must not be dumped,
+      // committed, or counted.
+      resp.result = {};
+      return service.stopped(work.req.cancel);
+    }
+    resp.nets = dump;
+    return publish(commit);
+  }
+
+  /// A finished routing run: answer with the session, optionally publish
+  /// the (full-netlist) result as the session's committed routes, count it.
+  /// The fingerprint in the committed snapshot re-keys the stage cache, so
+  /// a mutated routing invalidates cached stage results while a
+  /// byte-identical re-commit keeps them hot.
+  RouteStatus publish(bool commit) const {
+    resp.session = work.session;
+    if (commit) work.session->routes.set(resp.result);
+    ServiceMetrics& m = service.metrics_;
+    m.requests_ok.fetch_add(1, std::memory_order_relaxed);
+    m.nets_routed.fetch_add(resp.result.routed, std::memory_order_relaxed);
+    m.nets_failed.fetch_add(resp.result.failed, std::memory_order_relaxed);
+    return RouteStatus::kOk;
+  }
+
+  /// DETAIL/CONGEST/VERIFY/SVG against the session's committed routes.
+  RouteStatus stage(const pipeline::StageOptions& sopts) const {
+    const LayoutSession& session = *work.session;
+    // The stage consumes the committed routes.  A fresh session has none:
+    // run the default full sequential pass once and commit it, so `LOAD;
+    // DETAIL` works without an explicit ROUTE — and later stages (and
+    // ROUTEs) share that exact snapshot.
+    std::shared_ptr<const pipeline::CommittedRoutes> state =
+        session.routes.get();
+    if (state == nullptr) {
+      // The implicit route honors the stage request's deadline and cancel
+      // token (checked between nets) — on a large GEN'd session it can
+      // dwarf the stage itself.  A stopped route is never committed: the
+      // next request starts from a clean no-routes slot.
+      route::NetlistOptions ropts;
+      ropts.deadline = work.req.deadline;
+      ropts.cancel = work.req.cancel;
+      route::NetlistResult routed =
+          route::NetlistRouter(session.layout, session.env).route_all(ropts);
+      if (routed.cancelled) return service.stopped(work.req.cancel);
+      state = session.routes.set(std::move(routed));
+    }
+    // Committed routes (possibly just materialized above) are this verb's
+    // "environment": everything after this stamp is the stage itself.
+    job.trace.env_us = now_us();
+
+    const std::string key = pipeline::StageCache::key_for(
+        session.key, state->fingerprint, sopts.fingerprint());
+    if (auto cached = service.stage_cache_.find(key)) {
+      resp.stage = std::move(cached);
+      resp.stage_cached = true;
+      job.trace.subs.push_back({"stage_cache_hit", now_us()});
+    } else {
+      const pipeline::StageContext ctx{session.layout, session.env,
+                                       state->result, work.req.cancel,
+                                       work.req.deadline};
+      pipeline::StageOutcome out = pipeline::run_stage(ctx, sopts);
+      // Stopped inside the engine.
+      if (out.result == nullptr) return service.stopped(work.req.cancel);
+      service.stage_cache_.insert(key, out.result);
+      resp.stage = std::move(out.result);
+      job.trace.subs.push_back({"stage_run", now_us()});
+    }
+    job.trace.exec_us = now_us();
+    resp.session = work.session;
+    service.metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
+    return RouteStatus::kOk;
+  }
+};
+
+void RoutingService::run(Job& job, RouteWork& work) {
+  const RouteRequest& req = work.req;
+  RouteResponse resp;
+  resp.queue_wait = std::chrono::microseconds(job.trace.dequeue_us);
+  if ((req.cancel && req.cancel->load(std::memory_order_relaxed)) ||
+      (req.deadline != std::chrono::steady_clock::time_point{} &&
+       std::chrono::steady_clock::now() > req.deadline)) {
+    resp.status = stopped(req.cancel);
   } else {
     try {
-      if (job.load_synth) {
-        // GEN: synthesize here, then load by content — the worker hashes
-        // the body it just produced (no admission-time probe existed).
-        resp.session = cache_.load(job.load_synth(), &resp.cache_hit);
-      } else {
-        resp.session = cache_.load(job.load_text, std::move(job.load_key),
-                                   &resp.cache_hit);
-      }
+      resp.status =
+          std::visit(VerbRunner{*this, job, work, resp}, work.req.payload);
+    } catch (const std::exception& e) {
+      resp.status = RouteStatus::kError;
+      resp.error = e.what();
+      metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  resp.latency = std::chrono::microseconds(complete(job, resp.status));
+  resp.trace = std::move(job.trace);
+  resp.traced = req.trace;
+  work.done(std::move(resp));
+}
+
+void RoutingService::run(Job& job, LoadWork& work) {
+  LoadResponse resp;
+  if (work.cancel && work.cancel->load(std::memory_order_relaxed)) {
+    resp.error = "cancelled";  // peer gone: skip the expensive build
+  } else {
+    // The build consumes the content key out of the label; a failed build
+    // leaves the record without a session name.
+    std::string key;
+    key.swap(job.label);
+    try {
+      // GEN synthesizes here, then loads by content — the worker hashes
+      // the body it just produced (no admission-time probe existed).
+      resp.session = work.synth
+                         ? cache_.load(work.synth(), &resp.cache_hit)
+                         : cache_.load(work.text, std::move(key),
+                                       &resp.cache_hit);
       resp.ok = true;
+      job.label = resp.session->key;
       metrics_.loads_ok.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& e) {
       resp.error = e.what();
@@ -405,194 +664,25 @@ void RoutingService::run_load_job(Job& job) {
     (resp.ok ? metrics_.gens_ok : metrics_.gens_failed)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  RequestTrace& trace = job.trace;
-  const std::uint64_t total =
+  job.trace.exec_us =
       micros_between(job.submitted, std::chrono::steady_clock::now());
-  trace.exec_us = total;
-  if (trace.env_us < trace.dequeue_us) trace.env_us = trace.dequeue_us;
-  trace.total_us = total;
-  metrics_.verb_latency[static_cast<std::size_t>(job.verb)].record(total);
-  SlowRecord rec;
-  rec.id = job.id;
-  rec.verb = job.verb;
-  rec.session = resp.session != nullptr ? resp.session->key : job.load_key;
-  rec.status = resp.ok ? "ok" : "error";
-  rec.trace = std::move(trace);
-  slow_ring_.offer(std::move(rec));
-  job.load_done(std::move(resp));
+  complete(job, resp.ok ? RouteStatus::kOk : RouteStatus::kError);
+  work.done(std::move(resp));
 }
 
-void RoutingService::worker_loop() {
-  for (;;) {
-    std::optional<Job> job = queue_.pop();
-    if (!job) return;  // closed and drained
-
-    if (job->kind == Job::Kind::kLoad) {
-      run_load_job(*job);
-      continue;
-    }
-    if (job->kind == Job::Kind::kPin) {
-      run_pin_job(*job);
-      continue;
-    }
-
-    const auto dequeued = std::chrono::steady_clock::now();
-    job->trace.dequeue_us = micros_between(job->submitted, dequeued);
-    RouteResponse resp;
-    resp.queue_wait = std::chrono::microseconds(
-        micros_between(job->submitted, dequeued));
-    metrics_.queue_wait.record(
-        static_cast<std::uint64_t>(resp.queue_wait.count()));
-
-    if (job->req.cancel && job->req.cancel->load(std::memory_order_relaxed)) {
-      resp.status = RouteStatus::kCancelled;
-      metrics_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-      finish(*job, std::move(resp));
-      continue;
-    }
-    if (job->req.deadline != std::chrono::steady_clock::time_point{} &&
-        dequeued > job->req.deadline) {
-      resp.status = RouteStatus::kExpired;
-      metrics_.requests_expired.fetch_add(1, std::memory_order_relaxed);
-      finish(*job, std::move(resp));
-      continue;
-    }
-
-    if (job->req.stage.has_value()) {
-      run_stage_job(*job, resp);
-      finish(*job, std::move(resp));
-      continue;
-    }
-
-    try {
-      // The session's environment is injected, so this call performs no
-      // ObstacleIndex / EscapeLineSet construction — the cache already paid
-      // for both.  That holds for *sequential* mode too: the router copies
-      // the shared environment and absorbs routed nets with incremental
-      // commit_route updates instead of per-net rebuilds.
-      if (job->req.optimize) {
-        route::OptimizeOptions oopts;
-        oopts.steiner = job->req.opts.steiner;
-        oopts.wire_halo = job->req.opts.wire_halo;
-        if (job->req.optimize_passes > 0) {
-          oopts.max_passes = job->req.optimize_passes;
-        }
-        oopts.budget = job->req.optimize_budget;
-        oopts.deadline = job->req.deadline;
-        oopts.cancel = job->req.cancel;
-        // Per-pass sub-spans: wrap the caller's progress hook so every
-        // completed pass leaves a trace stamp (same origin as the spans).
-        {
-          const route::OptimizeProgress user = job->req.progress;
-          RequestTrace* trace = &job->trace;
-          const auto origin = job->submitted;
-          oopts.progress = [user, trace,
-                            origin](const route::OptimizePassStats& p) {
-            trace->subs.push_back(
-                {"pass" + std::to_string(p.pass),
-                 micros_between(origin, std::chrono::steady_clock::now())});
-            if (user) user(p);
-          };
-        }
-        const route::Optimizer optimizer(job->session->layout,
-                                         job->session->env);
-        job->trace.env_us =
-            micros_between(job->submitted, std::chrono::steady_clock::now());
-        route::OptimizeReport report = optimizer.run(oopts);
-        job->trace.exec_us =
-            micros_between(job->submitted, std::chrono::steady_clock::now());
-        if (report.cancelled) {
-          // The client vanished mid-run (pass-boundary check): nothing
-          // wants the result.  PASS lines already streamed are fine — the
-          // peer that would have read them is gone.
-          resp.status = RouteStatus::kCancelled;
-          metrics_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-          finish(*job, std::move(resp));
-          continue;
-        }
-        resp.result = std::move(report.result);
-        resp.passes = std::move(report.passes);
-        metrics_.optimizes_ok.fetch_add(1, std::memory_order_relaxed);
-        metrics_.optimize_passes.fetch_add(
-            resp.passes.empty() ? 0 : resp.passes.size() - 1,
-            std::memory_order_relaxed);
-      } else {
-        const route::NetlistRouter router(job->session->layout,
-                                          job->session->env);
-        job->req.opts.deadline = job->req.deadline;
-        job->req.opts.cancel = job->req.cancel;
-        job->trace.env_us =
-            micros_between(job->submitted, std::chrono::steady_clock::now());
-        resp.result = router.route_all(job->req.opts);
-        job->trace.exec_us =
-            micros_between(job->submitted, std::chrono::steady_clock::now());
-        if (resp.result.cancelled) {
-          // Stopped between nets: the partial result must not be dumped,
-          // committed, or counted.  Attribute like the dequeue checks do.
-          const bool was_cancel =
-              job->req.cancel &&
-              job->req.cancel->load(std::memory_order_relaxed);
-          resp.result = {};
-          resp.status =
-              was_cancel ? RouteStatus::kCancelled : RouteStatus::kExpired;
-          (was_cancel ? metrics_.requests_cancelled
-                      : metrics_.requests_expired)
-              .fetch_add(1, std::memory_order_relaxed);
-          finish(*job, std::move(resp));
-          continue;
-        }
-      }
-      resp.session = job->session;
-      // The dump restriction: the subset that was routed, or — for a
-      // rip-up — the nets that were re-routed (the rest of the netlist was
-      // only the committed backdrop).
-      resp.nets = job->req.reroute ? job->req.opts.reroute
-                                   : job->req.opts.subset;
-      // Publish full-netlist results (ROUTE of everything, REROUTE — whose
-      // result carries the whole netlist around the rip-up set — and
-      // OPTIMIZE) as the session's committed routes.  The fingerprint in
-      // the snapshot re-keys the stage cache, so a mutated routing
-      // invalidates cached stage results while a byte-identical re-commit
-      // keeps them hot.  Subset ROUTEs never commit: their result holds
-      // only the requested nets.
-      if (job->req.optimize || job->req.reroute ||
-          job->req.opts.subset.empty()) {
-        job->session->routes.set(resp.result);
-      }
-      resp.status = RouteStatus::kOk;
-      metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      metrics_.nets_routed.fetch_add(resp.result.routed,
-                                     std::memory_order_relaxed);
-      metrics_.nets_failed.fetch_add(resp.result.failed,
-                                     std::memory_order_relaxed);
-    } catch (const std::exception& e) {
-      resp.status = RouteStatus::kError;
-      resp.error = e.what();
-      metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
-    }
-    finish(*job, std::move(resp));
-  }
-}
-
-void RoutingService::run_pin_job(Job& job) {
-  const auto dequeued = std::chrono::steady_clock::now();
-  job.trace.dequeue_us = micros_between(job.submitted, dequeued);
+void RoutingService::run(Job& job, PinWork& work) {
   PinResponse resp;
-  resp.queue_wait =
-      std::chrono::microseconds(micros_between(job.submitted, dequeued));
-  metrics_.queue_wait.record(
-      static_cast<std::uint64_t>(resp.queue_wait.count()));
-
-  if (job.pin == nullptr) {
+  resp.queue_wait = std::chrono::microseconds(job.trace.dequeue_us);
+  if (work.pin == nullptr) {
     // Derive: copy-on-pin of the cached environment.  The layout is shared
     // with the base session via an aliasing pointer — the read-only entry
     // is untouched and stays cached.
     try {
-      std::shared_ptr<const layout::Layout> layout(job.session,
-                                                   &job.session->layout);
-      std::shared_ptr<PinnedSession> pin = pins_.create(
-          job.session->key, std::move(layout), job.session->env,
-          job.pin_req.owner);
+      std::shared_ptr<const layout::Layout> layout(work.session,
+                                                   &work.session->layout);
+      std::shared_ptr<PinnedSession> pin =
+          pins_.create(work.session->key, std::move(layout),
+                       work.session->env, work.req.owner);
       resp.status = RouteStatus::kOk;
       resp.handle = pin->handle;
       resp.base_key = pin->base_key;
@@ -603,63 +693,63 @@ void RoutingService::run_pin_job(Job& job) {
       resp.status = RouteStatus::kError;
       resp.error = e.what();
     }
-    job.trace.exec_us =
-        micros_between(job.submitted, std::chrono::steady_clock::now());
-    finish_pin(job, std::move(resp));
-    return;
-  }
-
-  PinnedSession& pin = *job.pin;
-  pin.wait_turn(job.pin_ticket);
-  resp.handle = pin.handle;
-  resp.base_key = pin.base_key;
-  if (job.pin_req.op == PinRequest::Op::kPin) {
-    // Claim (an existing handle — restored-unowned or idempotent re-claim).
-    // Resolved here rather than at admission so a pipelined claim observes
-    // the pin's state in submission order.
-    switch (pins_.claim(pin.handle, job.pin_req.owner, nullptr)) {
-      case PinRegistry::ClaimResult::kOk:
-        resp.status = RouteStatus::kOk;
-        resp.nets_total = pin.layout->nets().size();
-        resp.committed = pin.routes.size();
-        break;
-      case PinRegistry::ClaimResult::kNotFound:
-        resp.status = RouteStatus::kCancelled;
-        resp.error = "pin released";
-        break;
-      case PinRegistry::ClaimResult::kOwnedElsewhere:
-        resp.status = RouteStatus::kError;
-        resp.error = "pin '" + pin.handle + "' is owned by another connection";
-        break;
-    }
-  } else if (job.pin_req.system ? pins_.find(job.pin->handle) != job.pin
-                                : !pins_.verify(job.pin, job.pin_req.owner)) {
-    // The pin was released (disconnect or UNPIN racing ahead in another
-    // claim cycle) between admission and this turn.  System sweeps skip the
-    // ownership half of the check — the autosaver saves pins it does not
-    // own — but still bail if the pin left the registry.
-    resp.status = RouteStatus::kCancelled;
-    resp.error = "pin released";
-  } else if (job.pin_req.op == PinRequest::Op::kUnpin) {
-    if (pins_.erase(pin.handle, job.pin_req.owner)) {
-      resp.status = RouteStatus::kOk;
-      metrics_.pins_released.fetch_add(1, std::memory_order_relaxed);
-    } else {
+  } else {
+    PinnedSession& pin = *work.pin;
+    pin.wait_turn(work.ticket);
+    resp.handle = pin.handle;
+    resp.base_key = pin.base_key;
+    if (work.req.op == PinRequest::Op::kPin) {
+      // Claim (an existing handle — restored-unowned or idempotent
+      // re-claim).  Resolved here rather than at admission so a pipelined
+      // claim observes the pin's state in submission order.
+      switch (pins_.claim(pin.handle, work.req.owner, nullptr)) {
+        case PinRegistry::ClaimResult::kOk:
+          resp.status = RouteStatus::kOk;
+          resp.nets_total = pin.layout->nets().size();
+          resp.committed = pin.routes.size();
+          break;
+        case PinRegistry::ClaimResult::kNotFound:
+          resp.status = RouteStatus::kCancelled;
+          resp.error = "pin released";
+          break;
+        case PinRegistry::ClaimResult::kOwnedElsewhere:
+          resp.status = RouteStatus::kError;
+          resp.error =
+              "pin '" + pin.handle + "' is owned by another connection";
+          break;
+      }
+    } else if (work.req.system ? pins_.find(pin.handle) != work.pin
+                               : !pins_.verify(work.pin, work.req.owner)) {
+      // The pin was released (disconnect or UNPIN racing ahead in another
+      // claim cycle) between admission and this turn.  System sweeps skip
+      // the ownership half of the check — the autosaver saves pins it does
+      // not own — but still bail if the pin left the registry.
       resp.status = RouteStatus::kCancelled;
       resp.error = "pin released";
+    } else if (work.req.op == PinRequest::Op::kUnpin) {
+      if (pins_.erase(pin.handle, work.req.owner)) {
+        resp.status = RouteStatus::kOk;
+        metrics_.pins_released.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        resp.status = RouteStatus::kCancelled;
+        resp.error = "pin released";
+      }
+    } else {
+      run_pin_mutation(work, resp);
     }
-  } else {
-    run_pin_mutation(job, resp);
+    pin.finish_turn(work.ticket);
   }
-  pin.finish_turn(job.pin_ticket);
   job.trace.exec_us =
       micros_between(job.submitted, std::chrono::steady_clock::now());
-  finish_pin(job, std::move(resp));
+  resp.latency = std::chrono::microseconds(complete(job, resp.status));
+  (resp.ok() ? metrics_.pin_ops_ok : metrics_.pin_ops_failed)
+      .fetch_add(1, std::memory_order_relaxed);
+  work.done(std::move(resp));
 }
 
-void RoutingService::run_pin_mutation(Job& job, PinResponse& resp) {
-  PinnedSession& pin = *job.pin;
-  const PinRequest& req = job.pin_req;
+void RoutingService::run_pin_mutation(PinWork& work, PinResponse& resp) {
+  PinnedSession& pin = *work.pin;
+  const PinRequest& req = work.req;
   try {
     if (req.op == PinRequest::Op::kSave) {
       save_pin(pin, req.save_name, resp);
@@ -821,33 +911,14 @@ void RoutingService::save_pin(const PinnedSession& pin,
   snap.routes = pin.routes;
 
   const std::string blob = encode_snapshot(snap);
-  namespace fs = std::filesystem;
+  const std::filesystem::path dir(opts_.snapshot_dir);
   std::error_code ec;
-  const fs::path dir(opts_.snapshot_dir);
-  fs::create_directories(dir, ec);  // best effort; the open below reports
-  const fs::path tmp = dir / (name + ".tmp");
-  const fs::path final_path = dir / name;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      resp.status = RouteStatus::kError;
-      resp.error = "cannot write snapshot file '" + tmp.string() + "'";
-      return;
-    }
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    out.flush();
-    if (!out) {
-      resp.status = RouteStatus::kError;
-      resp.error = "short write to snapshot file '" + tmp.string() + "'";
-      return;
-    }
-  }
-  // Atomic publish: a crash mid-write leaves only the .tmp, which restore
-  // skips (bad magic / truncation), never a half-visible snapshot.
-  fs::rename(tmp, final_path, ec);
-  if (ec) {
+  // Best effort: the write below reports a missing directory.
+  std::filesystem::create_directories(dir, ec);
+  std::string error = write_file_durably(dir, name, blob);
+  if (!error.empty()) {
     resp.status = RouteStatus::kError;
-    resp.error = "cannot publish snapshot file: " + ec.message();
+    resp.error = std::move(error);
     return;
   }
   resp.save_bytes = blob.size();
@@ -866,6 +937,8 @@ void RoutingService::restore_pins(const std::string& dir) {
   }
   for (const fs::directory_entry& entry : it) {
     if (!entry.is_regular_file(ec)) continue;
+    // Dot files are unpublished SAVE temp files (see write_file_durably).
+    if (entry.path().filename().string().front() == '.') continue;
     const std::string path = entry.path().string();
     try {
       std::ifstream in(entry.path(), std::ios::binary);
@@ -916,144 +989,6 @@ void RoutingService::restore_pins(const std::string& dir) {
                 << "': " << e.what() << "\n";
     }
   }
-}
-
-void RoutingService::finish_pin(Job& job, PinResponse&& resp) {
-  const std::uint64_t total =
-      micros_between(job.submitted, std::chrono::steady_clock::now());
-  resp.latency = std::chrono::microseconds(total);
-  RequestTrace& trace = job.trace;
-  if (trace.dequeue_us < trace.enqueue_us) trace.dequeue_us = trace.enqueue_us;
-  if (trace.env_us < trace.dequeue_us) trace.env_us = trace.dequeue_us;
-  if (trace.exec_us < trace.env_us) trace.exec_us = trace.env_us;
-  trace.total_us = total;
-  metrics_.latency.record(total);
-  metrics_.verb_latency[static_cast<std::size_t>(VerbKind::kPin)].record(
-      total);
-  SlowRecord rec;
-  rec.id = job.id;
-  rec.verb = VerbKind::kPin;
-  rec.session = job.pin_req.key;
-  rec.status = to_string(resp.status);
-  rec.trace = trace;
-  slow_ring_.offer(std::move(rec));
-  (resp.ok() ? metrics_.pin_ops_ok : metrics_.pin_ops_failed)
-      .fetch_add(1, std::memory_order_relaxed);
-  job.pin_done(std::move(resp));
-}
-
-void RoutingService::run_stage_job(Job& job, RouteResponse& resp) {
-  const pipeline::StageOptions& sopts = *job.req.stage;
-  try {
-    // The stage consumes the committed routes.  A fresh session has none:
-    // run the default full sequential pass once and commit it, so `LOAD;
-    // DETAIL` works without an explicit ROUTE — and later stages (and
-    // ROUTEs) share that exact snapshot.
-    std::shared_ptr<const pipeline::CommittedRoutes> state =
-        job.session->routes.get();
-    if (state == nullptr) {
-      const route::NetlistRouter router(job.session->layout,
-                                        job.session->env);
-      // The implicit route honors the stage request's deadline and cancel
-      // token (checked between nets) — on a large GEN'd session it can
-      // dwarf the stage itself.  A stopped route is never committed: the
-      // next request starts from a clean no-routes slot.
-      route::NetlistOptions ropts;
-      ropts.deadline = job.req.deadline;
-      ropts.cancel = job.req.cancel;
-      route::NetlistResult routed = router.route_all(ropts);
-      if (routed.cancelled) {
-        const bool was_cancel =
-            job.req.cancel &&
-            job.req.cancel->load(std::memory_order_relaxed);
-        resp.status =
-            was_cancel ? RouteStatus::kCancelled : RouteStatus::kExpired;
-        (was_cancel ? metrics_.requests_cancelled : metrics_.requests_expired)
-            .fetch_add(1, std::memory_order_relaxed);
-        metrics_.stages_failed.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      state = job.session->routes.set(std::move(routed));
-    }
-    // Committed routes (possibly just materialized above) are this verb's
-    // "environment": everything after this stamp is the stage itself.
-    job.trace.env_us =
-        micros_between(job.submitted, std::chrono::steady_clock::now());
-
-    const std::string key = pipeline::StageCache::key_for(
-        job.session->key, state->fingerprint, sopts.fingerprint());
-    std::shared_ptr<const pipeline::StageResult> cached =
-        stage_cache_.find(key);
-    if (cached != nullptr) {
-      resp.stage = std::move(cached);
-      resp.stage_cached = true;
-      job.trace.subs.push_back(
-          {"stage_cache_hit",
-           micros_between(job.submitted, std::chrono::steady_clock::now())});
-    } else {
-      const pipeline::StageContext ctx{job.session->layout,
-                                       job.session->env, state->result,
-                                       job.req.cancel, job.req.deadline};
-      pipeline::StageOutcome out = pipeline::run_stage(ctx, sopts);
-      if (out.result == nullptr) {
-        // Stopped inside the engine: attribute it like the dequeue checks
-        // do — cancel token wins, otherwise it was the deadline.
-        const bool was_cancel =
-            job.req.cancel &&
-            job.req.cancel->load(std::memory_order_relaxed);
-        resp.status =
-            was_cancel ? RouteStatus::kCancelled : RouteStatus::kExpired;
-        (was_cancel ? metrics_.requests_cancelled : metrics_.requests_expired)
-            .fetch_add(1, std::memory_order_relaxed);
-        metrics_.stages_failed.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      stage_cache_.insert(key, out.result);
-      resp.stage = std::move(out.result);
-      job.trace.subs.push_back(
-          {"stage_run",
-           micros_between(job.submitted, std::chrono::steady_clock::now())});
-    }
-    job.trace.exec_us =
-        micros_between(job.submitted, std::chrono::steady_clock::now());
-    resp.session = job.session;
-    resp.status = RouteStatus::kOk;
-    metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-    metrics_.stages_ok.fetch_add(1, std::memory_order_relaxed);
-  } catch (const std::exception& e) {
-    resp.status = RouteStatus::kError;
-    resp.error = e.what();
-    metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
-    metrics_.stages_failed.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void RoutingService::finish(Job& job, RouteResponse&& resp) {
-  // One clock read produces both the reported latency and the trace's
-  // total_us — the rendered span deltas sum to total_us exactly.
-  const std::uint64_t total =
-      micros_between(job.submitted, std::chrono::steady_clock::now());
-  resp.latency = std::chrono::microseconds(total);
-  RequestTrace& trace = job.trace;
-  // Early-out paths (cancel/expiry at dequeue, admission-stage errors) skip
-  // some stamps; clamp forward so the chain stays monotone with zero-width
-  // spans for the phases that never ran.
-  if (trace.dequeue_us < trace.enqueue_us) trace.dequeue_us = trace.enqueue_us;
-  if (trace.env_us < trace.dequeue_us) trace.env_us = trace.dequeue_us;
-  if (trace.exec_us < trace.env_us) trace.exec_us = trace.env_us;
-  trace.total_us = total;
-  metrics_.latency.record(total);
-  metrics_.verb_latency[static_cast<std::size_t>(job.verb)].record(total);
-  SlowRecord rec;
-  rec.id = job.id;
-  rec.verb = job.verb;
-  rec.session = job.req.session_key;
-  rec.status = to_string(resp.status);
-  rec.trace = trace;
-  slow_ring_.offer(std::move(rec));
-  resp.trace = std::move(trace);
-  resp.traced = job.req.trace;
-  job.done(std::move(resp));
 }
 
 MetricsSnapshot RoutingService::snapshot() const {

@@ -8,9 +8,10 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/netlist_router.hpp"
@@ -29,22 +30,35 @@
 ///
 /// Request lifecycle:
 ///   submit  -> session resolved (miss fails fast, nothing queued)
-///           -> admission through the bounded fair queue (full = rejected);
-///              jobs shard by session key (pins by handle, LOADs by content
-///              key, GENs together) and dequeue round-robin, so
-///              one saturating session cannot starve its neighbors
-///   worker  -> cancellation and deadline checked at dequeue
-///           -> NetlistRouter::route_all over the session's shared
-///              SearchEnvironment (no per-request index builds)
+///           -> admit(): one path for every submit* — a Job is stamped with
+///              its id and enqueue span and offered to the bounded fair
+///              queue (full = refused through the job's own callback).
+///              Jobs shard by session key (pins by handle, LOADs by content
+///              key, GENs together) and dequeue round-robin, so one
+///              saturating session cannot starve its neighbors
+///   worker  -> pop, stamp the dequeue span, run() the job's payload:
+///              route-family verbs check cancellation and deadline first,
+///              then NetlistRouter::route_all (or the optimizer, or a
+///              pipeline stage) over the session's shared SearchEnvironment
+///              — no per-request index builds
+///           -> complete(): one tail for every kind — total latency, span
+///              clamp, histograms, slow-request ring — then the callback
 ///   future  -> RouteResponse with result, status, and latency breakdown
+///
+/// A Job is one shared header (id, verb, submission time, trace, slow-ring
+/// label) plus a payload variant: route family (ROUTE/REROUTE/OPTIMIZE and
+/// the stages, itself a variant inside RouteRequest), LOAD/GEN, or pin op.
+/// LOAD/GEN stay out of the global latency/queue-wait histograms — one cold
+/// environment build must not skew the routing percentiles — and report
+/// ok/error as their slow-ring status.
 ///
 /// Deadlines and cancellation are enforced at the queue boundary — a job
 /// whose deadline passed while queued, or whose client hung up, is dropped
 /// without routing — and cooperatively in flight: ROUTE/REROUTE check
 /// between nets, OPTIMIZE at pass boundaries, and the pipeline stages
 /// inside their own loops.  A stopped run is reported kExpired/kCancelled
-/// and its partial result is discarded — never committed to the session or
-/// cached.
+/// (the cancel token wins when both apply) and its partial result is
+/// discarded — never committed to the session or cached.
 
 namespace gcr::serve {
 
@@ -60,42 +74,40 @@ enum class RouteStatus {
 [[nodiscard]] const char* to_string(RouteStatus s) noexcept;
 
 struct RouteRequest {
+  /// ROUTE: one routing pass over the session — the whole netlist, or only
+  /// the nets `net_names` lists (resolved into `opts.subset`).
+  struct Route {
+    route::NetlistOptions opts;
+  };
+  /// REROUTE: `net_names` is the rip-up set (resolved into `opts.reroute`),
+  /// routed last against the committed remainder of a full sequential pass
+  /// (see route::NetlistOptions::reroute).  The response dump is restricted
+  /// to these nets, exactly like a subset request.
+  struct Reroute {
+    route::NetlistOptions opts;
+  };
+  /// The verb and its own knobs; the default is a plain ROUTE.
+  ///  - OPTIMIZE carries the engine's options: the iterated rip-up-and-
+  ///    reroute engine runs over the whole netlist.  Its deadline and cancel
+  ///    come from the fields below and are honored at pass boundaries too —
+  ///    expiry mid-run returns the best routing so far rather than an error.
+  ///    `progress` runs on the worker after every pass (the front-ends
+  ///    stream each call as a `PASS` line); it must not block or throw.
+  ///  - The pipeline stages (DETAIL/CONGEST/VERIFY/SVG) run against the
+  ///    session's committed routes instead of routing.  A session with none
+  ///    first runs a default full sequential pass (deterministic) and
+  ///    commits it.  Results are cached content-addressed — see StageCache.
+  /// OPTIMIZE and the stages take no `net_names`.
+  using Payload = std::variant<Route, Reroute, route::OptimizeOptions,
+                               pipeline::StageOptions>;
+
   std::string session_key;
-  route::NetlistOptions opts;
-  /// Net-name list (the protocol's `nets=a,b,c`): resolved against the
-  /// session's netlist at admission — into `opts.subset` (ROUTE: route only
-  /// these nets) or, when `reroute` is set, into `opts.reroute` (REROUTE:
-  /// rip these up and re-route them last).  An unknown name fails the
-  /// request with kError before anything is queued.  Duplicate names
-  /// collapse to one entry.  Empty = whole netlist (ROUTE only).
+  Payload payload;
+  /// Net-name list (the protocol's `nets=a,b,c`), resolved against the
+  /// session's netlist at admission: an unknown name fails the request with
+  /// kError before anything is queued, and duplicate names collapse to one
+  /// entry.  Empty = whole netlist.
   std::vector<std::string> net_names;
-  /// REROUTE semantics: `net_names` is the rip-up set, routed against the
-  /// committed remainder of a full sequential pass (see
-  /// route::NetlistOptions::reroute).  The response dump is restricted to
-  /// these nets, exactly like a subset request.
-  bool reroute = false;
-  /// OPTIMIZE semantics: run the iterated rip-up-and-reroute engine over
-  /// the whole netlist instead of a single routing pass.  `net_names` must
-  /// be empty; `opts.steiner`/`opts.wire_halo` still apply; the engine's
-  /// own knobs ride in `optimize_passes`/`optimize_budget`; `deadline` and
-  /// `cancel` are honored *at pass boundaries* too (not just at dequeue) —
-  /// expiry mid-run returns the best routing so far rather than an error.
-  bool optimize = false;
-  /// Pipeline-stage semantics (DETAIL/CONGEST/VERIFY/SVG): run the selected
-  /// stage against the session's committed routes instead of routing.
-  /// `net_names` must be empty; `optimize`/`reroute` must be false.  A
-  /// session with no committed routes first runs a default full sequential
-  /// pass (deterministic) and commits it, so a stage verb works on a fresh
-  /// session too.  Results are cached content-addressed — see StageCache.
-  std::optional<pipeline::StageOptions> stage;
-  /// Pass cap for OPTIMIZE; 0 = the engine default.
-  std::size_t optimize_passes = 0;
-  /// Wall-clock budget for OPTIMIZE; zero = unbounded.
-  std::chrono::milliseconds optimize_budget{0};
-  /// Per-pass progress hook for OPTIMIZE (may be empty).  Invoked on the
-  /// worker thread after every completed pass; the front-ends stream each
-  /// call as a `PASS` reply line.  Must not block or throw.
-  route::OptimizeProgress progress;
   /// Zero (default) = no deadline.
   std::chrono::steady_clock::time_point deadline{};
   /// Optional cooperative cancel token; set it to true to drop the request
@@ -224,6 +236,7 @@ class RoutingService {
     std::string snapshot_dir;
     /// Directory scanned at construction: every decodable snapshot becomes
     /// a registered (unowned) pin — the rolling-restart rehydration path.
+    /// Dot files (SAVE's unpublished temp files) are skipped.
     /// Corrupt or truncated files are skipped with a stderr warning; they
     /// never produce a half-restored session.
     std::string restore_dir;
@@ -324,7 +337,6 @@ class RoutingService {
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return workers_.size();
   }
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
   /// The STATS response body: the metrics snapshot plus whatever the
@@ -357,49 +369,69 @@ class RoutingService {
   [[nodiscard]] std::uint64_t uptime_s() const;
 
  private:
-  struct Job {
-    enum class Kind { kRoute, kLoad, kPin };
-    Kind kind = Kind::kRoute;
-    /// Which latency shard and TRACE label this job belongs to.
-    VerbKind verb = VerbKind::kRoute;
-    /// Admission sequence number (TRACE output id) and the span stamps,
-    /// written by submit/worker and folded into the response at finish.
-    std::uint64_t id = 0;
-    RequestTrace trace;
-    // kRoute fields.
+  /// ROUTE/REROUTE/OPTIMIZE/stage work: the request and the session it
+  /// resolved to at admission.
+  struct RouteWork {
     RouteRequest req;
     std::shared_ptr<const LayoutSession> session;
     RouteCallback done;
-    // kLoad fields.
-    std::string load_text;
-    std::string load_key;  ///< content_key(load_text), hashed at admission
-    /// GEN: synthesizes the layout text on the worker (load_text/load_key
-    /// unused; the worker hashes the synthesized body itself).
-    std::function<std::string()> load_synth;
-    std::shared_ptr<std::atomic<bool>> load_cancel;
-    LoadCallback load_done;
-    // kPin fields.
-    PinRequest pin_req;
-    /// Resolved at admission for mutating ops (kPin-derive resolves the
-    /// base session into `session` instead); holding it keeps the pin's
-    /// state alive even if it is released while this job is queued.
-    std::shared_ptr<PinnedSession> pin;
-    std::uint64_t pin_ticket = 0;
-    PinCallback pin_done;
-    std::chrono::steady_clock::time_point submitted;
   };
+  /// LOAD/GEN work.  A LOAD's content key (hashed at admission) rides in
+  /// the job's label until the build consumes it.
+  struct LoadWork {
+    std::string text;
+    /// GEN: synthesizes the layout text on the worker (`text` unused; the
+    /// worker hashes the synthesized body itself).
+    std::function<std::string()> synth;
+    std::shared_ptr<std::atomic<bool>> cancel;
+    LoadCallback done;
+  };
+  /// Pin-lifecycle work.  PIN-derive resolves the base session into
+  /// `session`; every other op resolves `pin` and takes a ticket on its
+  /// chain — holding the pin keeps its state alive even if it is released
+  /// while this job is queued.
+  struct PinWork {
+    PinRequest req;
+    std::shared_ptr<const LayoutSession> session;
+    std::shared_ptr<PinnedSession> pin;
+    std::uint64_t ticket = 0;
+    PinCallback done;
+  };
+  struct Job {
+    using Work = std::variant<RouteWork, LoadWork, PinWork>;
+    /// Stamps `submitted`: the origin of every span.
+    Job(VerbKind verb_kind, std::string session_label, Work payload)
+        : verb(verb_kind),
+          submitted(std::chrono::steady_clock::now()),
+          label(std::move(session_label)),
+          work(std::move(payload)) {}
+
+    /// Admission sequence number (TRACE output id).
+    std::uint64_t id = 0;
+    /// Which latency shard and TRACE label this job belongs to.
+    VerbKind verb;
+    std::chrono::steady_clock::time_point submitted;
+    /// Span stamps, offsets from `submitted`.
+    RequestTrace trace;
+    /// The slow-ring session label: session key or pin handle.
+    std::string label;
+    Work work;
+  };
+  struct VerbRunner;
 
   void worker_loop();
   void autosave_loop();
-  void run_load_job(Job& job);
-  void run_stage_job(Job& job, RouteResponse& resp);
-  void run_pin_job(Job& job);
-  void run_pin_mutation(Job& job, PinResponse& resp);
+  void admit(Job&& job, std::string shard);
+  void refuse(Job& job, RouteStatus status, std::string error = {});
+  std::uint64_t complete(Job& job, RouteStatus status);
+  RouteStatus stopped(const std::shared_ptr<std::atomic<bool>>& cancel);
+  void run(Job& job, RouteWork& work);
+  void run(Job& job, LoadWork& work);
+  void run(Job& job, PinWork& work);
+  void run_pin_mutation(PinWork& work, PinResponse& resp);
   void save_pin(const PinnedSession& pin, const std::string& name,
                 PinResponse& resp);
   void restore_pins(const std::string& dir);
-  void finish(Job& job, RouteResponse&& resp);
-  void finish_pin(Job& job, PinResponse&& resp);
 
   Options opts_;
   SessionCache cache_;

@@ -198,7 +198,7 @@ serve::RouteRequest stage_request(const std::string& key,
                                   pipeline::StageOptions opts = {}) {
   serve::RouteRequest req;
   req.session_key = key;
-  req.stage = opts;
+  req.payload = opts;
   return req;
 }
 
@@ -283,8 +283,9 @@ TEST(ServiceStages, RerouteInvalidatesCachedStages) {
 
   serve::RouteRequest rr;
   rr.session_key = session->key;
-  rr.reroute = true;
-  rr.opts.mode = route::NetlistMode::kSequential;
+  serve::RouteRequest::Reroute reroute;
+  reroute.opts.mode = route::NetlistMode::kSequential;
+  rr.payload = reroute;
   rr.net_names = {lay.nets()[0].name(), lay.nets()[1].name()};
   const serve::RouteResponse rresp = service.route(std::move(rr));
   ASSERT_TRUE(rresp.ok()) << rresp.error;
@@ -317,7 +318,7 @@ TEST(ServiceStages, OptimizeRecommitsAndRekeys) {
 
   serve::RouteRequest orq;
   orq.session_key = session->key;
-  orq.optimize = true;
+  orq.payload = route::OptimizeOptions{};
   const serve::RouteResponse oresp = service.route(std::move(orq));
   ASSERT_TRUE(oresp.ok());
   const auto state = session->routes.get();

@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/netlist_router.hpp"
@@ -308,7 +309,7 @@ TEST(RoutingService, SequentialModeServedFromCachedSession) {
 
   serve::RouteRequest req;
   req.session_key = session->key;
-  req.opts = seq;
+  req.payload = serve::RouteRequest::Route{seq};
   const serve::RouteResponse resp = service.route(std::move(req));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(route::SearchEnvironment::build_count(), builds)
@@ -600,27 +601,46 @@ TEST(Protocol, RouteNetSubset) {
   EXPECT_EQ(bye.status, "OK 0 bye");
 }
 
+/// Runs \p parse on \p args and checks the request's deadline was made
+/// absolute at parse time, \p ms after the call.
+template <typename Parse>
+serve::RouteRequest parse_with_deadline(Parse parse, const std::string& args,
+                                        unsigned long long ms) {
+  const auto budget = std::chrono::milliseconds(ms);
+  const auto before = std::chrono::steady_clock::now();
+  serve::RouteRequest req = parse(args);
+  const auto after = std::chrono::steady_clock::now();
+  EXPECT_GE(req.deadline, before + budget) << args;
+  EXPECT_LE(req.deadline, after + budget) << args;
+  return req;
+}
+
 TEST(Protocol, ParseRouteCommand) {
-  const serve::RouteCommand cmd = serve::parse_route_command(
+  const serve::RouteRequest req = parse_with_deadline(
+      serve::parse_route_command,
       " abc123 mode=sequential threads=4 deadline_ms=250 sorted=0"
-      " segments=0");
-  EXPECT_EQ(cmd.session_key, "abc123");
-  EXPECT_EQ(cmd.opts.mode, route::NetlistMode::kSequential);
-  EXPECT_EQ(cmd.opts.threads, 4u);
-  EXPECT_FALSE(cmd.opts.sorted_dispatch);
-  EXPECT_FALSE(cmd.opts.steiner.connect_to_segments);
-  ASSERT_TRUE(cmd.deadline.has_value());
-  EXPECT_EQ(cmd.deadline->count(), 250);
+      " segments=0",
+      250);
+  EXPECT_EQ(req.session_key, "abc123");
+  const route::NetlistOptions& opts =
+      std::get<serve::RouteRequest::Route>(req.payload).opts;
+  EXPECT_EQ(opts.mode, route::NetlistMode::kSequential);
+  EXPECT_EQ(opts.threads, 4u);
+  EXPECT_FALSE(opts.sorted_dispatch);
+  EXPECT_FALSE(opts.steiner.connect_to_segments);
+  EXPECT_FALSE(req.trace);
+  EXPECT_EQ(serve::parse_route_command("k").deadline,
+            std::chrono::steady_clock::time_point{});
   EXPECT_THROW((void)serve::parse_route_command(""), std::runtime_error);
   EXPECT_THROW((void)serve::parse_route_command("k deadline_ms=-1"),
                std::runtime_error);
 }
 
 TEST(Protocol, ParseRouteCommandNets) {
-  const serve::RouteCommand cmd =
+  const serve::RouteRequest req =
       serve::parse_route_command("key nets=clk,rst,d0");
-  EXPECT_EQ(cmd.nets, (std::vector<std::string>{"clk", "rst", "d0"}));
-  EXPECT_TRUE(serve::parse_route_command("key").nets.empty());
+  EXPECT_EQ(req.net_names, (std::vector<std::string>{"clk", "rst", "d0"}));
+  EXPECT_TRUE(serve::parse_route_command("key").net_names.empty());
   // Empty items would silently route nothing — malformed.
   EXPECT_THROW((void)serve::parse_route_command("k nets=a,,b"),
                std::runtime_error);
@@ -629,13 +649,16 @@ TEST(Protocol, ParseRouteCommandNets) {
 }
 
 TEST(Protocol, ParseRerouteCommand) {
-  const serve::RouteCommand cmd =
+  const serve::RouteRequest req =
       serve::parse_reroute_command("key nets=clk,rst threads=2");
-  EXPECT_EQ(cmd.session_key, "key");
-  EXPECT_EQ(cmd.nets, (std::vector<std::string>{"clk", "rst"}));
-  EXPECT_TRUE(cmd.reroute);
-  EXPECT_EQ(cmd.opts.mode, route::NetlistMode::kSequential);
-  EXPECT_EQ(cmd.opts.threads, 2u);
+  EXPECT_EQ(req.session_key, "key");
+  EXPECT_EQ(req.net_names, (std::vector<std::string>{"clk", "rst"}));
+  ASSERT_TRUE(std::holds_alternative<serve::RouteRequest::Reroute>(
+      req.payload));
+  const route::NetlistOptions& opts =
+      std::get<serve::RouteRequest::Reroute>(req.payload).opts;
+  EXPECT_EQ(opts.mode, route::NetlistMode::kSequential);
+  EXPECT_EQ(opts.threads, 2u);
   // nets= is mandatory: an empty rip-up set would silently be a plain
   // route.  mode= is rejected either way — REROUTE is sequential by
   // definition, and a silently-ignored mode=independent would mislead.
@@ -646,8 +669,9 @@ TEST(Protocol, ParseRerouteCommand) {
                std::runtime_error);
   EXPECT_THROW((void)serve::parse_reroute_command("key nets=a,"),
                std::runtime_error);
-  // ROUTE does not grow a reroute flag by accident.
-  EXPECT_FALSE(serve::parse_route_command("key nets=a").reroute);
+  // ROUTE does not become a REROUTE by accident.
+  EXPECT_TRUE(std::holds_alternative<serve::RouteRequest::Route>(
+      serve::parse_route_command("key nets=a").payload));
 }
 
 TEST(Protocol, RerouteRoundTrip) {
@@ -713,17 +737,16 @@ TEST(Protocol, RerouteRoundTrip) {
 // ---------------------------------------------------------------- OPTIMIZE
 
 TEST(Protocol, ParseOptimizeCommand) {
-  const serve::RouteCommand cmd = serve::parse_optimize_command(
-      " abc123 passes=4 budget_ms=250 deadline_ms=500 segments=0");
-  EXPECT_EQ(cmd.session_key, "abc123");
-  EXPECT_TRUE(cmd.optimize);
-  EXPECT_FALSE(cmd.reroute);
-  EXPECT_EQ(cmd.passes, 4u);
-  EXPECT_EQ(cmd.budget.count(), 250);
-  ASSERT_TRUE(cmd.deadline.has_value());
-  EXPECT_EQ(cmd.deadline->count(), 500);
-  EXPECT_FALSE(cmd.opts.steiner.connect_to_segments);
-  EXPECT_EQ(cmd.opts.mode, route::NetlistMode::kSequential);
+  const serve::RouteRequest req = parse_with_deadline(
+      serve::parse_optimize_command,
+      " abc123 passes=4 budget_ms=250 deadline_ms=500 segments=0", 500);
+  EXPECT_EQ(req.session_key, "abc123");
+  ASSERT_TRUE(std::holds_alternative<route::OptimizeOptions>(req.payload));
+  const route::OptimizeOptions& opts =
+      std::get<route::OptimizeOptions>(req.payload);
+  EXPECT_EQ(opts.max_passes, 4u);
+  EXPECT_EQ(opts.budget.count(), 250);
+  EXPECT_FALSE(opts.steiner.connect_to_segments);
 
   EXPECT_THROW((void)serve::parse_optimize_command(""), std::runtime_error);
   EXPECT_THROW((void)serve::parse_optimize_command("k passes=0"),
@@ -737,9 +760,14 @@ TEST(Protocol, ParseOptimizeCommand) {
     EXPECT_THROW((void)serve::parse_optimize_command(bad), std::runtime_error)
         << bad;
   }
-  // ROUTE does not grow an optimize flag by accident.
-  EXPECT_FALSE(serve::parse_route_command("key").optimize);
-  EXPECT_EQ(serve::parse_route_command("key").passes, 0u);
+  // ROUTE does not become an OPTIMIZE by accident, and an OPTIMIZE
+  // without passes= keeps the engine's own default.
+  EXPECT_TRUE(std::holds_alternative<serve::RouteRequest::Route>(
+      serve::parse_route_command("key").payload));
+  EXPECT_EQ(std::get<route::OptimizeOptions>(
+                serve::parse_optimize_command("key").payload)
+                .max_passes,
+            route::OptimizeOptions{}.max_passes);
 }
 
 TEST(Protocol, DeadlineAndBudgetCappedAt24Hours) {
@@ -748,9 +776,8 @@ TEST(Protocol, DeadlineAndBudgetCappedAt24Hours) {
   // to a negative duration, and `now + deadline` could overflow the clock
   // rep outright.  The cap answers ERR instead; exactly 24h still parses.
   const std::string max = std::to_string(serve::kMaxDeadlineMs);
-  EXPECT_EQ(serve::parse_route_command("k deadline_ms=" + max)
-                .deadline->count(),
-            static_cast<long long>(serve::kMaxDeadlineMs));
+  (void)parse_with_deadline(serve::parse_route_command,
+                            "k deadline_ms=" + max, serve::kMaxDeadlineMs);
   EXPECT_THROW((void)serve::parse_route_command("k deadline_ms=86400001"),
                std::runtime_error);
   EXPECT_THROW((void)serve::parse_route_command(
@@ -759,7 +786,9 @@ TEST(Protocol, DeadlineAndBudgetCappedAt24Hours) {
   EXPECT_THROW((void)serve::parse_reroute_command(
                    "k nets=a deadline_ms=86400001"),
                std::runtime_error);
-  EXPECT_EQ(serve::parse_optimize_command("k budget_ms=" + max).budget.count(),
+  EXPECT_EQ(std::get<route::OptimizeOptions>(
+                serve::parse_optimize_command("k budget_ms=" + max).payload)
+                .budget.count(),
             static_cast<long long>(serve::kMaxDeadlineMs));
   EXPECT_THROW((void)serve::parse_optimize_command("k budget_ms=86400001"),
                std::runtime_error);
@@ -877,7 +906,7 @@ TEST(RoutingService, OptimizeRequestCountsMetrics) {
 
   serve::RouteRequest req;
   req.session_key = session->key;
-  req.optimize = true;
+  req.payload = route::OptimizeOptions{};
   const serve::RouteResponse resp = service.route(std::move(req));
   ASSERT_TRUE(resp.ok());
   ASSERT_FALSE(resp.passes.empty());
@@ -1216,6 +1245,157 @@ TEST(RoutingService, CounterConservationUnderConcurrentMixedBurst) {
   EXPECT_GE(snap.requests_cancelled, 1u);
   EXPECT_GE(snap.requests_errored, 1u);
   EXPECT_GE(snap.requests_ok, 1u);
+}
+
+/// A pipelining Responder: dispatch() hands commands to the workers and
+/// returns at once, so a burst queues up behind one worker.  Final frames
+/// are collected in completion order; take() waits for the next few.
+class CollectingResponder final : public serve::Responder {
+ public:
+  explicit CollectingResponder(bool hung_up = false)
+      : owner_(std::make_shared<std::atomic<bool>>(hung_up)) {}
+
+  [[nodiscard]] const std::shared_ptr<std::atomic<bool>>& owner()
+      const override {
+    return owner_;
+  }
+  void answer(std::string frame) override { push(std::move(frame)); }
+  serve::ReplySink hand_off(bool /*barrier*/) override {
+    return [this](std::string text, bool final) {
+      if (final) push(std::move(text));
+    };
+  }
+  void close_after() override {}
+
+  std::vector<std::string> take(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return frames_.size() >= n; });
+    std::vector<std::string> out(frames_.begin(),
+                                 frames_.begin() + static_cast<long>(n));
+    frames_.erase(frames_.begin(), frames_.begin() + static_cast<long>(n));
+    return out;
+  }
+
+ private:
+  void push(std::string frame) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    frames_.push_back(std::move(frame));
+    cv_.notify_all();
+  }
+
+  const std::shared_ptr<std::atomic<bool>> owner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::string> frames_;
+};
+
+void send(serve::RoutingService& service, serve::Responder& responder,
+          const std::string& line, std::string body = {}) {
+  serve::FrameParser::Event ev;
+  ev.line = line;
+  ev.body = std::move(body);
+  serve::dispatch(service, ev, responder);
+}
+
+/// The value of one `key value` STATS line.
+std::uint64_t stat(const std::string& stats, const std::string& key) {
+  const std::size_t pos = stats.find("\n" + key + " ");
+  EXPECT_NE(pos, std::string::npos) << key;
+  if (pos == std::string::npos) return 0;
+  return std::stoull(stats.substr(pos + key.size() + 2));
+}
+
+std::string stats_body(serve::RoutingService& service) {
+  return "\n" + service.stats_text();
+}
+
+TEST(RoutingService, PerKindAccountingStaysSplit) {
+  // Each job kind keeps its own accounting: LOAD and GEN count in their
+  // verb shards but stay out of the global latency / queue-wait
+  // histograms (one cold environment build must not skew the routing
+  // percentiles); route-family and pin ops feed both.  TRACE labels each
+  // record with its verb and status: RouteStatus names for route and pin
+  // ops, ok/error for LOAD/GEN.
+  serve::RoutingService::Options opts;
+  opts.workers = 1;
+  serve::RoutingService service(opts);
+  CollectingResponder conn;
+  const std::string text = workload_text(9, 12, 7);
+  const std::string key = serve::SessionCache::content_key(text);
+
+  send(service, conn, "LOAD " + std::to_string(text.size()), text);
+  EXPECT_EQ(conn.take(1)[0].rfind("OK 0 session=" + key, 0), 0u);
+  send(service, conn, "LOAD 9", "garbage\n\n");
+  EXPECT_EQ(conn.take(1)[0].rfind("ERR ", 0), 0u);
+  send(service, conn, "GEN standard seed=3 cells=6 nets=5");
+  const std::string gen = conn.take(1)[0];
+  ASSERT_EQ(gen.rfind("OK 0 session=", 0), 0u) << gen;
+  const std::string gen_key = gen.substr(13, gen.find(' ', 13) - 13);
+
+  std::string stats = stats_body(service);
+  EXPECT_EQ(stat(stats, "verb_load_count"), 2u);
+  EXPECT_EQ(stat(stats, "verb_gen_count"), 1u);
+  EXPECT_EQ(stat(stats, "latency_p50_us"), 0u);
+  EXPECT_EQ(stat(stats, "queue_wait_p50_us"), 0u);
+
+  // One worker, a pipelined burst: most of these wait behind a route.
+  constexpr std::size_t kRoutes = 5;
+  for (std::size_t i = 0; i < kRoutes; ++i) send(service, conn, "ROUTE " + key);
+  send(service, conn, "OPTIMIZE " + key + " passes=1");
+  send(service, conn, "DETAIL " + key);
+  send(service, conn, "PIN " + key);
+  std::string pin_frame;
+  for (const std::string& f : conn.take(kRoutes + 3)) {
+    ASSERT_EQ(f.rfind("OK ", 0), 0u) << f;
+    if (f.find(" pin=") != std::string::npos) pin_frame = f;
+  }
+  ASSERT_FALSE(pin_frame.empty());
+  const std::size_t at = pin_frame.find(" pin=") + 5;
+  const std::string handle = pin_frame.substr(at, pin_frame.find(' ', at) - at);
+  const layout::Layout lay = io::read_layout_string(text);
+  send(service, conn, "COMMIT " + handle + " nets=" + lay.nets()[0].name());
+  EXPECT_EQ(conn.take(1)[0].rfind("OK ", 0), 0u);
+  send(service, conn, "COMMIT " + handle + " nets=no_such_net");
+  EXPECT_EQ(conn.take(1)[0].rfind("ERR ", 0), 0u);
+  // A hung-up connection's ROUTE is dropped at dequeue: status=cancelled.
+  CollectingResponder gone(/*hung_up=*/true);
+  send(service, gone, "ROUTE " + key);
+  EXPECT_EQ(gone.take(1)[0].rfind("ERR cancelled", 0), 0u);
+
+  stats = stats_body(service);
+  EXPECT_EQ(stat(stats, "verb_load_count"), 2u);
+  EXPECT_EQ(stat(stats, "verb_gen_count"), 1u);
+  EXPECT_EQ(stat(stats, "verb_route_count"), kRoutes + 1);
+  EXPECT_EQ(stat(stats, "verb_reroute_count"), 0u);
+  EXPECT_EQ(stat(stats, "verb_optimize_count"), 1u);
+  EXPECT_EQ(stat(stats, "verb_detail_count"), 1u);
+  EXPECT_EQ(stat(stats, "verb_congest_count"), 0u);
+  EXPECT_EQ(stat(stats, "verb_pin_count"), 3u);
+  EXPECT_NE(stat(stats, "latency_p50_us"), 0u);
+  EXPECT_NE(stat(stats, "queue_wait_p50_us"), 0u);
+
+  send(service, conn, "TRACE n=64");
+  const std::string trace = conn.take(1)[0];
+  ASSERT_EQ(trace.rfind("OK ", 0), 0u) << trace;
+  EXPECT_EQ(meta_u64(trace.substr(0, trace.find('\n')), "count"),
+            2u + 1u + kRoutes + 1u + 1u + 1u + 3u);
+  const auto has = [&](const std::string& verb, const std::string& session,
+                       const std::string& status) {
+    const std::string needle = " verb=" + verb + " session=" + session +
+                               " status=" + status + " ";
+    return trace.find(needle) != std::string::npos;
+  };
+  EXPECT_TRUE(has("load", key, "ok")) << trace;
+  EXPECT_TRUE(has("load", "", "error")) << trace;  // no session to name
+  EXPECT_TRUE(has("gen", gen_key, "ok")) << trace;
+  EXPECT_TRUE(has("route", key, "ok")) << trace;
+  EXPECT_TRUE(has("route", key, "cancelled")) << trace;
+  EXPECT_TRUE(has("optimize", key, "ok")) << trace;
+  EXPECT_TRUE(has("detail", key, "ok")) << trace;
+  EXPECT_TRUE(has("pin", key, "ok")) << trace;
+  EXPECT_TRUE(has("pin", handle, "ok")) << trace;
+  EXPECT_TRUE(has("pin", handle, "error")) << trace;
+  service.release_pins(conn.owner());
 }
 
 }  // namespace

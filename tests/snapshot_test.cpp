@@ -304,7 +304,12 @@ TEST(SnapshotRestore, CorruptOrTruncatedBlobLeavesSessionAbsent) {
 
   // Overwrite with a truncated copy and drop in a garbage sibling: the
   // restoring server must come up with *no* pins, never a half-restored
-  // one.
+  // one.  A whole blob left in a SAVE temp file (a crash before the
+  // rename) was never published, so it is not restored either.
+  {
+    std::ofstream out(dir.path / ".codec.snap.a1b2c3", std::ios::binary);
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
   {
     std::ofstream out(dir.path / "codec.snap",
                       std::ios::binary | std::ios::trunc);
@@ -621,6 +626,69 @@ TEST(FinalSave, PeriodicAutosaveSweepsHotPins) {
   std::stringstream blob;
   blob << is.rdbuf();
   EXPECT_EQ(serve::decode_snapshot(blob.str()).handle, pinned.handle);
+}
+
+TEST(FinalSave, ConcurrentSavesUnderOneNameNeverTear) {
+  // Ticket chains order the ops of one pin, not the writes to one file:
+  // two pins SAVEd under the same name run on different workers at once.
+  // Each save must still publish a whole snapshot through its own temp
+  // file — every reply OK, and the file on disk is one pin or the other.
+  TempDir dir;
+  serve::RoutingService::Options opts;
+  opts.workers = 2;
+  opts.snapshot_dir = dir.path.string();
+  serve::RoutingService service(opts);
+  const auto owner = make_owner();
+  std::vector<std::string> handles;
+  std::vector<std::string> layouts;
+  for (const std::uint64_t seed : {31u, 32u}) {
+    const auto session = service.load(workload_text(24, 32, seed));
+    serve::PinRequest pin;
+    pin.op = serve::PinRequest::Op::kPin;
+    pin.key = session->key;
+    pin.owner = owner;
+    const serve::PinResponse pinned = pin_op(service, std::move(pin));
+    ASSERT_TRUE(pinned.ok()) << pinned.error;
+    handles.push_back(pinned.handle);
+    layouts.push_back(io::write_layout_string(session->layout));
+  }
+
+  constexpr int kRounds = 400;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> savers;
+  for (const std::string& handle : handles) {
+    savers.emplace_back([&, handle] {
+      for (int i = 0; i < kRounds; ++i) {
+        serve::PinRequest save;
+        save.op = serve::PinRequest::Op::kSave;
+        save.key = handle;
+        save.save_name = "shared.snap";
+        save.owner = owner;
+        const serve::PinResponse resp = pin_op(service, std::move(save));
+        if (!resp.ok()) {
+          ADD_FAILURE() << handle << " round " << i << ": " << resp.error;
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : savers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  std::ifstream is(dir.path / "shared.snap", std::ios::binary);
+  std::stringstream blob;
+  blob << is.rdbuf();
+  const serve::PinSnapshot snap = serve::decode_snapshot(blob.str());
+  const std::size_t which = snap.handle == handles[0] ? 0 : 1;
+  EXPECT_EQ(snap.handle, handles[which]);
+  EXPECT_EQ(snap.layout_text, layouts[which]);
+  // Every temp file was renamed into place or removed.
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    EXPECT_EQ(entry.path().filename(), "shared.snap");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
 }
 
 }  // namespace
