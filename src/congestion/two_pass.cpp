@@ -43,14 +43,18 @@ TwoPassReport TwoPassRouter::run(const TwoPassOptions& opts) const {
     return false;
   };
 
+  // The placement is fixed, so one environment serves pass 1 and every
+  // iteration: the injected one, or one built here.
+  std::optional<route::SearchEnvironment> own_env;
+  if (env_ == nullptr) own_env.emplace(layout_);
+  const route::SearchEnvironment& env = env_ != nullptr ? *env_ : *own_env;
+
   // Pass 1: independent wirelength routing — unless the caller already has
   // routes (the serving layer's committed state), which become pass 1.
   if (opts.first_pass != nullptr) {
     report.first_pass = *opts.first_pass;
   } else {
-    const route::NetlistRouter base_router =
-        env_ != nullptr ? route::NetlistRouter(layout_, *env_)
-                        : route::NetlistRouter(layout_);
+    const route::NetlistRouter base_router(layout_, env);
     route::NetlistOptions nl_opts;
     nl_opts.steiner = opts.steiner;
     report.first_pass = base_router.route_all(nl_opts);
@@ -82,20 +86,9 @@ TwoPassReport TwoPassRouter::run(const TwoPassOptions& opts) const {
     }
     if (affected.empty()) break;
 
-    // Re-route only the offenders with the penalized cost function.  An
-    // injected environment already holds the index and escape lines; the
-    // standalone path builds them once per iteration as before.
-    std::optional<spatial::ObstacleIndex> own_index;
-    std::optional<spatial::EscapeLineSet> own_lines;
-    if (env_ == nullptr) {
-      own_index.emplace(layout_.boundary(), layout_.obstacles());
-      own_lines.emplace(*own_index);
-    }
-    const spatial::ObstacleIndex& index =
-        env_ != nullptr ? env_->index() : *own_index;
-    const spatial::EscapeLineSet& lines =
-        env_ != nullptr ? env_->lines() : *own_lines;
-    const route::SteinerNetRouter rerouter(index, lines, &penalty);
+    // Re-route only the offenders with the penalized cost function.
+    const route::SteinerNetRouter rerouter(env.index(), env.lines(),
+                                           &penalty);
     bool changed = false;
     for (const std::size_t n : affected) {
       if (stop_requested()) {

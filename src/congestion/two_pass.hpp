@@ -58,13 +58,13 @@ struct TwoPassReport {
 
 class TwoPassRouter {
  public:
+  /// Each run builds one SearchEnvironment for pass 1 and every iteration.
   explicit TwoPassRouter(const layout::Layout& lay) : layout_(lay) {}
 
   /// Injects a prebuilt environment (the serving layer's session cache):
-  /// pass 1 and the penalized reroutes reuse \p env's obstacle index and
-  /// escape lines instead of rebuilding them per iteration.  \p env must
-  /// match \p lay's placement, hold no committed halos, and outlive the
-  /// router.
+  /// pass 1 and the penalized reroutes reuse \p env instead of building
+  /// one.  \p env must match \p lay's placement, hold no committed halos,
+  /// and outlive the router.
   TwoPassRouter(const layout::Layout& lay, const route::SearchEnvironment& env)
       : layout_(lay), env_(&env) {}
 

@@ -20,16 +20,11 @@ using geom::Rect;
 
 namespace {
 
-/// Validates NetlistOptions::reroute: unique in-range indices, sequential
-/// mode only, exclusive with subset.  Returns the list (empty = no rip-up).
+/// Validates NetlistOptions::reroute: unique in-range indices, exclusive
+/// with subset.  Returns the list (empty = no rip-up).
 std::vector<std::size_t> resolve_reroute(const NetlistOptions& opts,
                                          std::size_t n) {
   if (opts.reroute.empty()) return {};
-  if (opts.mode != NetlistMode::kSequential) {
-    throw std::invalid_argument(
-        "NetlistOptions: reroute requires sequential mode (independent "
-        "routing has no net ordering to repair)");
-  }
   if (!opts.subset.empty()) {
     throw std::invalid_argument(
         "NetlistOptions: reroute and subset are mutually exclusive (rip-up "
@@ -98,30 +93,19 @@ std::size_t resolve_workers(unsigned requested, std::size_t jobs) {
                   std::max<std::size_t>(jobs, 1));
 }
 
-/// Estimated routing effort of a net: the half-perimeter of its pins'
-/// bounding box.  Search work grows with the spanned area, so this cheap
-/// proxy is what the batch driver sorts by to schedule long nets first.
-geom::Cost estimated_effort(const layout::Layout& lay,
-                            const layout::Net& net) {
-  std::optional<Rect> bbox;
-  for (const auto& pins : net_terminal_pins(lay, net)) {
-    for (const geom::Point& p : pins) {
-      bbox = bbox ? bbox->hull(p) : Rect{p, p};
-    }
-  }
-  return bbox ? bbox->half_perimeter() : 0;
-}
-
-/// Longest-first dispatch schedule for the batch driver.  A stable sort on
-/// descending effort keeps ties in `order` order, so the schedule is
-/// deterministic; results are unaffected either way because accounting
-/// always replays the caller's `order`.
+/// Longest-first dispatch schedule for the batch driver.  A net's estimated
+/// effort is the half-perimeter of its terminal bounding box: search work
+/// grows with the spanned area.  A stable sort on descending effort keeps
+/// ties in `order` order, so the schedule is deterministic; results are
+/// unaffected either way because accounting always replays the caller's
+/// `order`.
 std::vector<std::size_t> effort_sorted(const layout::Layout& lay,
                                        const std::vector<std::size_t>& order) {
   std::vector<std::pair<geom::Cost, std::size_t>> keyed;
   keyed.reserve(order.size());
   for (const std::size_t i : order) {
-    keyed.emplace_back(estimated_effort(lay, lay.nets()[i]), i);
+    const std::optional<Rect> bbox = terminal_bbox(lay, lay.nets()[i]);
+    keyed.emplace_back(bbox ? bbox->half_perimeter() : 0, i);
   }
   std::stable_sort(keyed.begin(), keyed.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -163,15 +147,26 @@ std::size_t resolve_worker_count(std::size_t requested) {
 }
 
 NetlistResult NetlistRouter::route_all(const NetlistOptions& opts) const {
-  return opts.mode == NetlistMode::kIndependent ? route_independent(opts)
-                                                : route_sequential(opts);
+  if (opts.mode == NetlistMode::kIndependent) return route_independent(opts);
+  // Previously routed nets join the obstacle set.  A cached session
+  // environment can serve sequential requests too: copying the shared
+  // read-only environment is vector duplication, not a build.
+  assert((env_ == nullptr || env_->committed() == 0) &&
+         "injected environment must not carry committed wire halos");
+  SearchEnvironment env =
+      env_ != nullptr ? *env_ : SearchEnvironment(layout_);
+  return route_sequential(env, layout_, opts, cost_);
 }
 
 NetlistResult NetlistRouter::route_independent(
     const NetlistOptions& opts) const {
+  if (!opts.reroute.empty()) {
+    throw std::invalid_argument(
+        "NetlistOptions: reroute requires sequential mode (independent "
+        "routing has no net ordering to repair)");
+  }
   NetlistResult result;
   result.routes.resize(layout_.nets().size());
-  resolve_reroute(opts, result.routes.size());  // throws: wrong mode
 
   // One obstacle index and one escape-line set serve every net: the whole
   // point of independent routing is that the search environment is fixed.
@@ -265,44 +260,26 @@ NetlistResult NetlistRouter::route_independent(
   return result;
 }
 
-NetlistResult NetlistRouter::route_sequential(
-    const NetlistOptions& opts) const {
+NetlistResult route_sequential(SearchEnvironment& env,
+                               const layout::Layout& lay,
+                               const NetlistOptions& opts,
+                               const CostModel* cost) {
   NetlistResult result;
-  const std::size_t n = layout_.nets().size();
+  const std::size_t n = lay.nets().size();
   result.routes.resize(n);
 
-  // Previously routed nets join the obstacle set (inflated by the wire
-  // spacing halo).  The environment absorbs each routed net *incrementally*
-  // (commit_route: bucket insert + localized escape-line regeneration), so
-  // sequential mode pays O(local update) per net instead of the full
-  // O(index + escape-line rebuild) the classical scheme implies — and a
-  // cached session environment can serve sequential requests too: copying
-  // the shared read-only environment is vector duplication, not a build.
-  assert((env_ == nullptr || env_->committed() == 0) &&
-         "injected environment must not carry committed wire halos");
-  SearchEnvironment env =
-      env_ != nullptr ? *env_ : SearchEnvironment(layout_);
-
+  // The environment absorbs each routed net *incrementally* (commit_route:
+  // bucket insert + localized escape-line regeneration), so this pass pays
+  // O(local update) per net instead of the full O(index + escape-line
+  // rebuild) the classical scheme implies.  A net whose pins earlier halos
+  // swallowed fails inside route_terminals, before any search.
   const std::vector<std::size_t> order = resolve_order(opts, n);
   const std::vector<std::size_t> reroute = resolve_reroute(opts, n);
 
   const auto route_one = [&](std::size_t i) {
-    const SteinerNetRouter net_router(env.index(), env.lines(), cost_);
-    // A net whose pins are swallowed by earlier wires' halos cannot route.
-    bool pins_ok = true;
-    for (const auto& pins :
-         net_terminal_pins(layout_, layout_.nets()[i])) {
-      for (const geom::Point& p : pins) {
-        if (!env.index().routable(p)) pins_ok = false;
-      }
-    }
-    NetRoute nr;
-    if (pins_ok) {
-      nr = net_router.route_net(layout_, layout_.nets()[i], opts.steiner);
-    }
-    if (nr.ok) {
-      env.commit_route(i, nr.segments, opts.wire_halo);
-    }
+    const SteinerNetRouter net_router(env.index(), env.lines(), cost);
+    NetRoute nr = net_router.route_net(lay, lay.nets()[i], opts.steiner);
+    if (nr.ok) env.commit_route(i, nr.segments, opts.wire_halo);
     result.routes[i] = std::move(nr);
   };
 

@@ -132,11 +132,26 @@ class NetlistRouter {
 
  private:
   [[nodiscard]] NetlistResult route_independent(const NetlistOptions&) const;
-  [[nodiscard]] NetlistResult route_sequential(const NetlistOptions&) const;
 
   const layout::Layout& layout_;
   const CostModel* cost_;
   const SearchEnvironment* env_ = nullptr;  ///< optional injected environment
 };
+
+/// The classical sequential pass, routing into a caller-owned environment:
+/// the nets of `opts.subset` (else `opts.order`, else netlist order) route
+/// one after another, and each routed net is committed into \p env under
+/// its net id, inflated by `opts.wire_halo`, so later nets route around it.
+/// `opts.reroute` then rips its nets out and re-routes them in list order.
+/// Every commit stays in \p env.  \p env must match \p lay's placement; it
+/// may already hold halos of other nets (a pinned serving session), but
+/// none under an id this pass commits.  `mode` and `threads` are ignored;
+/// `cancel` and `deadline` stop the pass between nets.  NetlistRouter's
+/// sequential mode, Optimizer pass 1 and pinned-session COMMIT/REROUTE all
+/// run this one pass.
+[[nodiscard]] NetlistResult route_sequential(SearchEnvironment& env,
+                                             const layout::Layout& lay,
+                                             const NetlistOptions& opts,
+                                             const CostModel* cost = nullptr);
 
 }  // namespace gcr::route

@@ -19,28 +19,6 @@ using congestion::CongestionMap;
 using congestion::Passage;
 using Clock = std::chrono::steady_clock;
 
-/// Bounding box of a net's terminal pins — the region a detour-free route
-/// would stay inside.  Empty for a net with no pins.
-std::optional<geom::Rect> terminal_bbox(const layout::Layout& lay,
-                                        const layout::Net& net) {
-  std::optional<geom::Rect> bbox;
-  for (const auto& pins : net_terminal_pins(lay, net)) {
-    for (const geom::Point& p : pins) {
-      bbox = bbox ? bbox->hull(p) : geom::Rect{p, p};
-    }
-  }
-  return bbox;
-}
-
-/// Manhattan lower bound for connecting a net's terminals: the
-/// half-perimeter of their bounding box.  Zero for coincident (or absent)
-/// terminals — callers must treat that as "no meaningful bound".
-geom::Cost manhattan_lower_bound(const layout::Layout& lay,
-                                 const layout::Net& net) {
-  const auto bbox = terminal_bbox(lay, net);
-  return bbox ? bbox->half_perimeter() : 0;
-}
-
 /// How many of the \p hot passage regions the net's tree touches.  The
 /// per-net acceptance test compares this against the *pass-start* hot set
 /// for both the old and the new route, so the comparison is apples to
@@ -64,10 +42,11 @@ std::size_t hot_crossings(const std::vector<geom::Rect>& hot,
 double detour_ratio(const layout::Layout& lay, const layout::Net& net,
                     const NetRoute& nr) {
   if (!nr.ok) return 1.0;
-  const geom::Cost lb = manhattan_lower_bound(lay, net);
-  // Coincident-terminal nets have a zero lower bound; dividing would be UB
-  // and any positive wirelength would score as infinite detour.  Such nets
-  // are defined to have no detour — there is nothing to optimize.
+  const std::optional<geom::Rect> bbox = terminal_bbox(lay, net);
+  const geom::Cost lb = bbox ? bbox->half_perimeter() : 0;
+  // Coincident-terminal (or pinless) nets have a zero lower bound; dividing
+  // would be UB and any positive wirelength would score as infinite detour.
+  // Such nets are defined to have no detour — there is nothing to optimize.
   if (lb <= 0) return 1.0;
   return static_cast<double>(nr.wirelength) / static_cast<double>(lb);
 }
@@ -88,36 +67,17 @@ OptimizeReport Optimizer::run(const OptimizeOptions& opts) const {
   OptimizeReport report;
   NetlistResult& result = report.result;
   const std::size_t n = layout_.nets().size();
-  result.routes.resize(n);
 
   assert((env_ == nullptr || env_->committed() == 0) &&
          "injected environment must not carry committed wire halos");
   SearchEnvironment env =
       env_ != nullptr ? *env_ : SearchEnvironment(layout_);
 
-  const auto route_one = [&](std::size_t i, const CostModel* cost) {
-    const SteinerNetRouter net_router(env.index(), env.lines(), cost);
-    // A net whose pins are swallowed by other wires' halos cannot route.
-    bool pins_ok = true;
-    for (const auto& pins : net_terminal_pins(layout_, layout_.nets()[i])) {
-      for (const geom::Point& p : pins) {
-        if (!env.index().routable(p)) pins_ok = false;
-      }
-    }
-    NetRoute nr;
-    if (pins_ok) {
-      nr = net_router.route_net(layout_, layout_.nets()[i], opts.steiner);
-    }
-    return nr;
-  };
-
   // ---------------------------------------- pass 1: full sequential route
-  for (std::size_t i = 0; i < n; ++i) {
-    NetRoute nr = route_one(i, nullptr);
-    result.stats += nr.stats;
-    if (nr.ok) env.commit_route(i, nr.segments, opts.wire_halo);
-    result.routes[i] = std::move(nr);
-  }
+  NetlistOptions first;
+  first.steiner = opts.steiner;
+  first.wire_halo = opts.wire_halo;
+  result = route_sequential(env, layout_, first);
 
   // Passage geometry depends only on the placement, so it is extracted
   // once; occupancy is re-counted per pass.
@@ -262,7 +222,8 @@ OptimizeReport Optimizer::run(const OptimizeOptions& opts) const {
     for (const std::size_t v : victims) {
       NetRoute old = std::move(result.routes[v]);
       const std::size_t old_cross = hot_crossings(hot_rects, old);
-      NetRoute nr = route_one(v, &cost);
+      NetRoute nr = SteinerNetRouter(env.index(), env.lines(), &cost)
+                        .route_net(layout_, layout_.nets()[v], opts.steiner);
       result.stats += nr.stats;
       // Per-net acceptance: the new route must regress neither dimension
       // (no longer, no more crossings of this pass's congested passages)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,17 @@ std::vector<std::vector<Point>> net_terminal_pins(const layout::Layout& lay,
     out.push_back(std::move(pins));
   }
   return out;
+}
+
+std::optional<geom::Rect> terminal_bbox(const layout::Layout& lay,
+                                        const layout::Net& net) {
+  std::optional<geom::Rect> bbox;
+  for (const auto& pins : net_terminal_pins(lay, net)) {
+    for (const Point& p : pins) {
+      bbox = bbox ? bbox->hull(p) : geom::Rect{p, p};
+    }
+  }
+  return bbox;
 }
 
 void SteinerNetRouter::connection_points(
@@ -70,6 +82,11 @@ NetRoute SteinerNetRouter::route_terminals(
   if (terminals.empty()) return out;
   for (const auto& pins : terminals) {
     if (pins.empty()) return out;  // a pinless terminal is unroutable
+    for (const Point& p : pins) {
+      // A pin inside an obstacle (in sequential routing, swallowed by an
+      // earlier net's wire halo) can be neither a source nor a goal.
+      if (!router_.obstacles().routable(p)) return out;
+    }
   }
 
   // Seed the tree with the first terminal's pins (all of them: a multi-pin

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/gridless_router.hpp"
@@ -42,6 +43,12 @@ class SteinerNetRouter {
   /// terminal seeds the tree; terminals then join in cheapest-connection
   /// order.  On failure (some terminal unreachable) `ok` is false and the
   /// partial tree is returned.
+  ///
+  /// A net that cannot route at all fails up front, with no search: an
+  /// empty terminal list, a pinless terminal, or any pin that is not
+  /// routable in this router's obstacle set (inside a cell, or swallowed by
+  /// a wire halo committed in sequential routing) gives a default
+  /// `NetRoute{}` — `ok` false, no segments, zero stats.
   [[nodiscard]] NetRoute route_terminals(
       const std::vector<std::vector<geom::Point>>& terminals,
       const SteinerOptions& opts = {}) const;
@@ -85,6 +92,11 @@ class SteinerNetRouter {
 /// Resolves every pin position of a net's terminals (cell terminals and pad
 /// terminals alike).
 [[nodiscard]] std::vector<std::vector<geom::Point>> net_terminal_pins(
+    const layout::Layout& lay, const layout::Net& net);
+
+/// Bounding box of every pin of a net's terminals; empty for a pinless net.
+/// Its half-perimeter is the Manhattan lower bound for connecting the net.
+[[nodiscard]] std::optional<geom::Rect> terminal_bbox(
     const layout::Layout& lay, const layout::Net& net);
 
 }  // namespace gcr::route

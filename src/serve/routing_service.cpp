@@ -14,7 +14,6 @@
 #include <utility>
 #include <variant>
 
-#include "core/steiner.hpp"
 #include "io/route_dump.hpp"
 #include "io/text_format.hpp"
 #include "pipeline/stage_runner.hpp"
@@ -815,29 +814,29 @@ void RoutingService::run_pin_mutation(PinWork& work, PinResponse& resp) {
       }
     }
 
-    // Route and commit incrementally, in list order.  The router reads the
-    // pin's own index/lines, so each commit is visible to the next net —
-    // no environment construction anywhere on this path.
-    const route::SteinerNetRouter router(pin.env.index(), pin.env.lines());
-    const route::SteinerOptions sopts;
-    for (const std::size_t id : ids) {
-      route::NetRoute r =
-          router.route_net(*pin.layout, pin.layout->nets()[id], sopts);
-      if (r.ok) {
-        pin.env.commit_route(id, r.segments, req.wire_halo);
-        ++resp.routed;
-        resp.wirelength += r.wirelength;
-      } else {
-        ++resp.failed;
-      }
-      pin.routes[id] = std::move(r);
+    // Route and commit into the pin's own environment, in list order,
+    // exactly as ROUTE mode=sequential does over these nets — no
+    // environment construction anywhere on this path.
+    route::NetlistOptions nopts;
+    nopts.subset = ids;
+    nopts.wire_halo = req.wire_halo;
+    route::NetlistResult result;
+    try {
+      result = route::route_sequential(pin.env, *pin.layout, nopts);
+    } catch (...) {
+      // Nets committed before the throw have no entry in `pin.routes`; rip
+      // them out so the environment and the route map stay in step.
+      for (const std::size_t id : ids) pin.env.remove_route(id);
+      throw;
     }
-
+    resp.routed = result.routed;
+    resp.failed = result.failed;
+    resp.wirelength = result.total_wirelength;
     // Dump only the nets this op touched.
-    route::NetlistResult nr;
-    nr.routes.resize(pin.layout->nets().size());
-    for (const std::size_t id : ids) nr.routes[id] = pin.routes[id];
-    resp.body = io::write_routes_string(*pin.layout, nr, ids);
+    resp.body = io::write_routes_string(*pin.layout, result, ids);
+    for (const std::size_t id : ids) {
+      pin.routes[id] = std::move(result.routes[id]);
+    }
     resp.committed = pin.routes.size();
     resp.status = RouteStatus::kOk;
   } catch (const std::exception& e) {

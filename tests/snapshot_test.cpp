@@ -389,6 +389,105 @@ TEST(PinProtocol, LifecycleOverTheWire) {
   EXPECT_EQ(snap.pins_released, 1u);
 }
 
+/// The value of `key=` in a status line's meta, or "" when absent.
+std::string meta_value(const std::string& status, const std::string& key) {
+  std::istringstream is(status);
+  std::string word;
+  while (is >> word) {
+    if (word.rfind(key + "=", 0) == 0) return word.substr(key.size() + 1);
+  }
+  return std::string();
+}
+
+// COMMIT of every net, in netlist order, on a fresh pin routes exactly like
+// a sequential ROUTE of the same layout: later nets see earlier nets' wire
+// halos, and a net whose pin a halo swallowed fails without a search.
+TEST(PinProtocol, CommitAllRoutesLikeSequentialRoute) {
+  const layout::Layout lay = workload::standard_workload(9, 512, 12, 7);
+  const std::string text = io::write_layout_string(lay);
+  const std::string key = serve::SessionCache::content_key(text);
+  std::string all_nets;
+  for (const auto& net : lay.nets()) {
+    if (!all_nets.empty()) all_nets += ',';
+    all_nets += net.name();
+  }
+
+  serve::RoutingService::Options opts;
+  opts.workers = 1;
+  serve::RoutingService service(opts);
+  const std::string script =
+      "LOAD " + std::to_string(text.size()) + "\n" + text + "ROUTE " + key +
+      " mode=sequential\nPIN " + key + "\nCOMMIT " + kFirstHandle +
+      " nets=" + all_nets + "\nQUIT\n";
+  std::istringstream replies(run_on(service, script));
+
+  (void)next_frame(replies);  // LOAD
+  const Frame route = next_frame(replies);
+  ASSERT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
+  const Frame pin = next_frame(replies);
+  ASSERT_EQ(pin.status.rfind("OK ", 0), 0u) << pin.status;
+  const Frame commit = next_frame(replies);
+  ASSERT_EQ(commit.status.rfind("OK ", 0), 0u) << commit.status;
+
+  EXPECT_EQ(commit.body, route.body);
+  for (const char* k : {"routed", "failed", "wirelength"}) {
+    EXPECT_FALSE(meta_value(route.status, k).empty()) << k;
+    EXPECT_EQ(meta_value(commit.status, k), meta_value(route.status, k))
+        << k << ": COMMIT " << commit.status << " vs ROUTE " << route.status;
+  }
+  // The layout is dense enough that committed halos block later nets, so
+  // the comparison covers the swallowed-pin case.
+  EXPECT_NE(meta_value(route.status, "failed"), "0") << route.status;
+  EXPECT_EQ(meta_value(commit.status, "committed"),
+            std::to_string(lay.nets().size()));
+}
+
+// A COMMIT that throws mid-pass (an allocation failure inside
+// commit_route) must not strand halos in the pin's environment that its
+// route map does not know about: the same COMMIT retried afterwards
+// succeeds and answers exactly what it would have without the failure.
+TEST(PinProtocol, FailedCommitLeavesPinCoherent) {
+  const std::string text = workload_text(9, 12, 7);
+  const auto commit_two = [&](bool fault) {
+    serve::RoutingService::Options opts;
+    opts.workers = 1;
+    serve::RoutingService service(opts);
+    const auto session = service.load(text);
+    const auto owner = make_owner();
+    serve::PinRequest pin;
+    pin.op = serve::PinRequest::Op::kPin;
+    pin.key = session->key;
+    pin.owner = owner;
+    const serve::PinResponse pinned = pin_op(service, std::move(pin));
+    EXPECT_TRUE(pinned.ok()) << pinned.error;
+
+    serve::PinRequest commit;
+    commit.op = serve::PinRequest::Op::kCommit;
+    commit.key = pinned.handle;
+    commit.nets = {session->layout.nets()[0].name(),
+                   session->layout.nets()[1].name()};
+    commit.owner = owner;
+    if (fault) {
+      route::SearchEnvironment::inject_update_fault_for_tests();
+      const serve::PinResponse failed = pin_op(service, commit);
+      EXPECT_FALSE(failed.ok());
+      EXPECT_NE(failed.error.find("injected"), std::string::npos)
+          << failed.error;
+    }
+    return pin_op(service, std::move(commit));
+  };
+
+  const serve::PinResponse clean = commit_two(false);
+  const serve::PinResponse retried = commit_two(true);
+  ASSERT_TRUE(clean.ok()) << clean.error;
+  ASSERT_TRUE(retried.ok()) << retried.error;
+  EXPECT_GT(clean.routed, 0u);
+  EXPECT_EQ(retried.body, clean.body);
+  EXPECT_EQ(retried.routed, clean.routed);
+  EXPECT_EQ(retried.wirelength, clean.wirelength);
+  EXPECT_EQ(retried.committed, clean.committed);
+}
+
 TEST(PinProtocol, DisconnectAutoReleases) {
   const std::string text = workload_text(9, 12, 7);
   const std::string key = serve::SessionCache::content_key(text);

@@ -138,6 +138,28 @@ TEST(Steiner, EmptyTerminalListNotOk) {
   EXPECT_FALSE(f.router.route_terminals({{{10, 10}}, {}}).ok);
 }
 
+TEST(Steiner, PinInsideObstacleFailsWithoutSearch) {
+  // A pin in an obstacle's interior — in sequential routing, one swallowed
+  // by a committed wire halo — can be neither a source nor a goal, so the
+  // net fails before any search, whichever terminal holds it.
+  const Fixture f(std::vector<Rect>{{40, 40, 60, 60}});
+  const std::vector<std::vector<std::vector<Point>>> nets = {
+      {{{10, 10}}, {{50, 50}}},
+      {{{50, 50}}, {{10, 10}}},
+      {{{10, 10}, {50, 50}}, {{90, 90}}},
+      {{{50, 50}}},
+  };
+  for (const auto& terminals : nets) {
+    const auto nr = f.router.route_terminals(terminals);
+    EXPECT_FALSE(nr.ok);
+    EXPECT_TRUE(nr.segments.empty());
+    EXPECT_EQ(nr.stats.nodes_expanded, 0u);
+    EXPECT_EQ(nr.stats.nodes_generated, 0u);
+  }
+  // A pin on the obstacle's boundary stays routable.
+  EXPECT_TRUE(f.router.route_terminals({{{10, 10}}, {{40, 50}}}).ok);
+}
+
 TEST(Steiner, StatsAccumulateAcrossConnections) {
   const Fixture f;
   const auto nr = f.router.route_terminals(
@@ -157,8 +179,12 @@ TEST(Steiner, RouteNetResolvesLayoutTerminals) {
   lay.cell(a).add_pin_terminal("p", Point{30, 20});
   lay.cell(b).add_pin_terminal("q", Point{60, 70});
   layout::Net net("n");
+  EXPECT_FALSE(route::terminal_bbox(lay, net).has_value());
   net.add_terminal(layout::TerminalRef{a, 0});
   net.add_terminal(layout::TerminalRef{b, 0});
+  const auto bbox = route::terminal_bbox(lay, net);
+  ASSERT_TRUE(bbox.has_value());
+  EXPECT_EQ(*bbox, (Rect{30, 20, 60, 70}));
 
   const spatial::ObstacleIndex index(lay.boundary(), lay.obstacles());
   const spatial::EscapeLineSet lines(index);
@@ -166,6 +192,7 @@ TEST(Steiner, RouteNetResolvesLayoutTerminals) {
   const auto nr = router.route_net(lay, net);
   ASSERT_TRUE(nr.ok);
   EXPECT_EQ(nr.wirelength, manhattan(Point{30, 20}, Point{60, 70}));
+  EXPECT_EQ(nr.wirelength, bbox->half_perimeter());
 }
 
 TEST(Steiner, SteinerNeverWorseThanPinsOnlyTree) {
