@@ -21,9 +21,11 @@ GridlessSpace::GridlessSpace(const spatial::ObstacleIndex& obstacles,
     : obstacles_(obstacles),
       lines_(lines),
       goals_(std::move(goals)),
-      goal_set_(goals_.begin(), goals_.end()),
       cost_(cost),
-      mode_(mode) {}
+      mode_(mode) {
+  std::sort(goals_.begin(), goals_.end());
+  goals_.erase(std::unique(goals_.begin(), goals_.end()), goals_.end());
+}
 
 void GridlessSpace::successors(const State& s,
                                std::vector<search::Successor<State>>& out) const {
@@ -39,26 +41,29 @@ void GridlessSpace::successors(const State& s,
     const spatial::RayHit hit = obstacles_.trace(s.p, d);
     if (hit.stop == origin) continue;  // hugging a wall: zero extent
 
-    // Candidate landing coordinates along the ray, in travel order:
-    // escape-line crossings, goal-aligned projections, and the stop itself.
-    std::vector<Coord> cands;
+    // Candidate landing coordinates along the ray, ascending and distinct
+    // (the emission order the heap's FIFO tie-break depends on): escape-line
+    // crossings, goal-aligned projections, and the stop itself.  Crossings
+    // arrive in travel order, so a westward or southward probe reverses
+    // them; the rest are inserted in place.
+    cands_.clear();
     if (mode_ == SuccessorMode::kFull) {
-      cands = lines_.crossings(s.p, d, hit.stop);
+      lines_.crossings(s.p, d, hit.stop, cands_);
+      if (sign_of(d) < 0) std::reverse(cands_.begin(), cands_.end());
     }
-    const auto in_span = [&](Coord c) {
-      return sign_of(d) > 0 ? (c > origin && c <= hit.stop)
-                            : (c < origin && c >= hit.stop);
+    const auto insert_sorted = [this](Coord c) {
+      const auto at = std::lower_bound(cands_.begin(), cands_.end(), c);
+      if (at == cands_.end() || *at != c) cands_.insert(at, c);
     };
+    const Coord lo = std::min(origin, hit.stop);
+    const Coord hi = std::max(origin, hit.stop);
     for (const Point& g : goals_) {
       const Coord proj = g.along(ax);
-      if (in_span(proj)) cands.push_back(proj);
+      if (proj != origin && proj >= lo && proj <= hi) insert_sorted(proj);
     }
-    cands.push_back(hit.stop);
-    std::sort(cands.begin(), cands.end());
-    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+    insert_sorted(hit.stop);
 
-    for (const Coord c : cands) {
-      if (!in_span(c)) continue;
+    for (const Coord c : cands_) {
       Point q = s.p;
       q.along(ax) = c;
       geom::Cost edge = geom::coord_abs_diff(c, origin) * kCostScale;
@@ -120,12 +125,15 @@ Route run_search(const GridlessSpace& space, const std::vector<Point>& sources,
   starts.reserve(sources.size());
   for (const Point& p : sources) starts.push_back(RouteState{p, kNoDir});
 
-  search::Searcher<GridlessSpace> searcher(space);
+  // One warm searcher per thread: its tables outlive the search, so
+  // steady-state searches allocate nothing, and daemon workers and batch
+  // threads never share one (a Searcher runs one search at a time).
+  thread_local search::Searcher<GridlessSpace> searcher;
   search::SearchOptions sopts;
   sopts.strategy = opts.strategy;
   sopts.max_expansions = opts.max_expansions;
   sopts.depth_limit = opts.depth_limit;
-  const auto result = searcher.run(starts, sopts);
+  const auto result = searcher.run(space, starts, sopts);
 
   out.found = result.found;
   out.stats = result.stats;

@@ -1,8 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -48,7 +48,9 @@ enum class SuccessorMode : std::uint8_t {
 
 /// Search-space adapter over the routing plane.  States are (point, incoming
 /// direction) pairs; goals are an explicit set of points (a pin, or every
-/// pin of every yet-unconnected terminal during Steiner construction).
+/// pin of every yet-unconnected terminal during Steiner construction), kept
+/// sorted and deduplicated.  `successors` fills a member candidate buffer,
+/// so one space serves one search at a time.
 class GridlessSpace {
  public:
   using State = RouteState;
@@ -66,20 +68,18 @@ class GridlessSpace {
   [[nodiscard]] geom::Cost heuristic(const State& s) const;
 
   [[nodiscard]] bool is_goal(const State& s) const {
-    return goal_set_.contains(s.p);
-  }
-
-  [[nodiscard]] const std::vector<geom::Point>& goals() const noexcept {
-    return goals_;
+    return std::binary_search(goals_.begin(), goals_.end(), s.p);
   }
 
  private:
   const spatial::ObstacleIndex& obstacles_;
   const spatial::EscapeLineSet& lines_;
   std::vector<geom::Point> goals_;
-  std::unordered_set<geom::Point> goal_set_;
   const CostModel* cost_;  // nullable: pure wirelength
   SuccessorMode mode_;
+  /// Landing coordinates of the current probe, ascending; reused across
+  /// successors calls.
+  mutable std::vector<geom::Coord> cands_;
 };
 
 /// Options for a single connection search.

@@ -61,7 +61,9 @@ void SteinerNetRouter::connection_points(
       const Dir d = s.b.along(ax) > s.a.along(ax)
                         ? (ax == Axis::kX ? Dir::kEast : Dir::kNorth)
                         : (ax == Axis::kX ? Dir::kWest : Dir::kSouth);
-      for (const Coord c : lines_.crossings(s.a, d, s.b.along(ax))) {
+      scratch.crossings.clear();
+      lines_.crossings(s.a, d, s.b.along(ax), scratch.crossings);
+      for (const Coord c : scratch.crossings) {
         Point q = s.a;
         q.along(ax) = c;
         src.push_back(q);

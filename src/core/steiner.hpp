@@ -73,6 +73,7 @@ class SteinerNetRouter {
   struct ConnectScratch {
     std::vector<geom::Point> sources;
     std::vector<geom::Point> goals;
+    std::vector<geom::Coord> crossings;
   };
 
   /// The finite realization of "all line segments are potential connection

@@ -158,7 +158,7 @@ bool TrackRouter::route_connection(std::size_t net, const Point& a,
 
   const TrackSpace space(owner_, nx_, ny_, opts_.pitch, opts_.via_cost, net32,
                          goal);
-  search::Searcher<TrackSpace> searcher(space);
+  search::Searcher<TrackSpace> searcher;
   search::SearchOptions sopts;
   sopts.strategy = search::Strategy::kAStar;
   sopts.max_expansions = opts_.max_expansions;
@@ -170,7 +170,7 @@ bool TrackRouter::route_connection(std::size_t net, const Point& a,
     if (usable(s, net32)) starts.push_back(s);
   }
   if (starts.empty()) return false;
-  const auto result = searcher.run(starts, sopts);
+  const auto result = searcher.run(space, starts, sopts);
   out.stats += result.stats;
   if (!result.found) return false;
 

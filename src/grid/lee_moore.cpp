@@ -27,10 +27,10 @@ GridRoute LeeMooreRouter::route_set(const std::vector<Point>& sources,
   if (starts.empty() || goals.empty()) return out;
 
   const GridRouteSpace space(graph_, std::move(goals));
-  search::Searcher<GridRouteSpace> searcher(space);
+  search::Searcher<GridRouteSpace> searcher;
   search::SearchOptions opts;
   opts.strategy = strategy;
-  const auto result = searcher.run(starts, opts);
+  const auto result = searcher.run(space, starts, opts);
 
   out.found = result.found;
   out.stats = result.stats;

@@ -1,14 +1,12 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "geometry/coord.hpp"
@@ -29,6 +27,18 @@
 /// fifteen-puzzle example (states = board permutations) — demonstrating the
 /// paper's point that wire routing is one instance of general state-space
 /// search.
+///
+/// A `Searcher` owns only scratch: the interned states, their nodes, an
+/// open-addressing slot table over `std::hash<State>`, the OPEN heap (or
+/// FIFO/stack for blind strategies) and the successor buffer.  Each `run()`
+/// clears these tables without freeing them, so a warm searcher runs a
+/// search without touching the heap allocator (the returned path aside).
+/// The space is an argument of `run()`, not a member, so one searcher can
+/// serve searches over different spaces.  Because the tables are shared
+/// state, one `Searcher` must never run two searches at once; the gridless
+/// router therefore keeps one `thread_local` instance, which gives every
+/// daemon worker and every batch-routing thread its own warm tables without
+/// a lock.
 
 namespace gcr::search {
 
@@ -74,12 +84,16 @@ class Searcher {
  public:
   using State = typename Space::State;
 
-  explicit Searcher(const Space& space) : space_(space) {}
+  /// Slot-table size a fresh searcher starts with; it doubles whenever the
+  /// interned states would fill more than half of it.
+  static constexpr std::size_t kInitialSlots = 1024;
 
-  /// Runs the search from (possibly several) start states.  Multiple starts
-  /// implement the multi-source tree-to-terminal searches of the Steiner
-  /// construction: every point of the partially built tree is a start.
-  [[nodiscard]] SearchResult<State> run(const std::vector<State>& starts,
+  /// Runs the search over \p space from (possibly several) start states.
+  /// Multiple starts implement the multi-source tree-to-terminal searches of
+  /// the Steiner construction: every point of the partially built tree is a
+  /// start.
+  [[nodiscard]] SearchResult<State> run(const Space& space,
+                                        const std::vector<State>& starts,
                                         const SearchOptions& opts = {}) {
     reset();
     SearchResult<State> result;
@@ -92,13 +106,12 @@ class Searcher {
       nodes_[idx].g = 0;
       nodes_[idx].depth = 0;
       nodes_[idx].parent = kNoParent;
-      push(idx, strat);
+      push(space, idx, strat);
     }
 
     std::uint32_t best_goal = kNoParent;  // exhaustive mode tracks the best
     geom::Cost best_goal_g = geom::kCostInf;
 
-    std::vector<Successor<State>> succ;
     while (!open_empty(strat)) {
       result.stats.max_open_size =
           std::max(result.stats.max_open_size, open_size(strat));
@@ -112,7 +125,7 @@ class Searcher {
       // from OPEN to be expanded."  Exhaustive mode ignores it and drains
       // OPEN; blind modes terminate at generation time below (and here, in
       // case a start is itself a goal).
-      if (space_.is_goal(states_[cur])) {
+      if (space.is_goal(states_[cur])) {
         if (strat == Strategy::kExhaustive) {
           if (node.g < best_goal_g) {
             best_goal_g = node.g;
@@ -135,9 +148,9 @@ class Searcher {
         continue;  // depth cutoff: do not expand below the limit
       }
 
-      succ.clear();
-      space_.successors(states_[cur], succ);
-      for (const Successor<State>& edge : succ) {
+      succ_.clear();
+      space.successors(states_[cur], succ_);
+      for (const Successor<State>& edge : succ_) {
         assert(edge.cost >= 0 && "edge weights must be non-negative");
         ++result.stats.nodes_generated;
         const std::uint32_t nxt = intern(edge.state);
@@ -150,11 +163,11 @@ class Searcher {
           child.g = g_new;
           child.parent = cur;
           child.depth = nodes_[cur].depth + 1;
-          if (space_.is_goal(edge.state)) {  // generation-time termination
+          if (space.is_goal(edge.state)) {  // generation-time termination
             finish(result, nxt);
             return result;
           }
-          push(nxt, strat);
+          push(space, nxt, strat);
           continue;
         }
 
@@ -169,7 +182,7 @@ class Searcher {
           child.g = g_new;
           child.parent = cur;
           child.depth = nodes_[cur].depth + 1;
-          push(nxt, strat);
+          push(space, nxt, strat);
         }
       }
     }
@@ -182,6 +195,7 @@ class Searcher {
 
  private:
   static constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
 
   struct Node {
     geom::Cost g = geom::kCostInf;
@@ -205,20 +219,48 @@ class Searcher {
   void reset() {
     states_.clear();
     nodes_.clear();
-    index_.clear();
-    heap_ = {};
+    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+    heap_.clear();
     fifo_.clear();
+    fifo_head_ = 0;
     seq_ = 0;
   }
 
+  /// Home slot of \p s: Fibonacci hashing takes the top bits of the
+  /// multiplied hash, so clustered hashes still spread over the table.
+  [[nodiscard]] std::size_t home_slot(const State& s) const {
+    const auto h = static_cast<std::uint64_t>(std::hash<State>{}(s));
+    return static_cast<std::size_t>((h * 0x9E3779B97F4A7C15ULL) >>
+                                    slot_shift_);
+  }
+
+  /// Index of \p s, assigning the next one (insertion order) when new.
   std::uint32_t intern(const State& s) {
-    const auto [it, inserted] =
-        index_.try_emplace(s, static_cast<std::uint32_t>(states_.size()));
-    if (inserted) {
-      states_.push_back(s);
-      nodes_.emplace_back();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home_slot(s);; i = (i + 1) & mask) {
+      const std::uint32_t idx = slots_[i];
+      if (idx == kEmptySlot) {
+        const auto fresh = static_cast<std::uint32_t>(states_.size());
+        states_.push_back(s);
+        nodes_.emplace_back();
+        slots_[i] = fresh;
+        if (2 * states_.size() > slots_.size()) grow_slots();
+        return fresh;
+      }
+      if (states_[idx] == s) return idx;
     }
-    return it->second;
+  }
+
+  /// Doubles the slot table and re-places every interned state.
+  void grow_slots() {
+    slots_.assign(2 * slots_.size(), kEmptySlot);
+    --slot_shift_;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t idx = 0; idx < states_.size(); ++idx) {
+      std::size_t i = home_slot(states_[idx]);
+      while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+      slots_[i] = idx;
+    }
   }
 
   [[nodiscard]] static bool ordered(Strategy s) noexcept {
@@ -226,39 +268,43 @@ class Searcher {
            s == Strategy::kAStar || s == Strategy::kExhaustive;
   }
 
-  [[nodiscard]] geom::Cost priority_of(std::uint32_t idx, Strategy s) const {
+  [[nodiscard]] geom::Cost priority_of(const Space& space, std::uint32_t idx,
+                                       Strategy s) const {
     switch (s) {
       case Strategy::kBestFirst:
       case Strategy::kExhaustive:
         return nodes_[idx].g;
       case Strategy::kGreedy:
-        return space_.heuristic(states_[idx]);
+        return space.heuristic(states_[idx]);
       case Strategy::kAStar:
-        return nodes_[idx].g + space_.heuristic(states_[idx]);
+        return nodes_[idx].g + space.heuristic(states_[idx]);
       default:
         return 0;
     }
   }
 
-  void push(std::uint32_t idx, Strategy s) {
+  void push(const Space& space, std::uint32_t idx, Strategy s) {
     if (ordered(s)) {
-      heap_.push(HeapEntry{priority_of(idx, s), seq_++, idx, nodes_[idx].g});
+      heap_.push_back(
+          HeapEntry{priority_of(space, idx, s), seq_++, idx, nodes_[idx].g});
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     } else {
       fifo_.push_back(idx);
     }
   }
 
   [[nodiscard]] bool open_empty(Strategy s) const {
-    return ordered(s) ? heap_.empty() : fifo_.empty();
+    return ordered(s) ? heap_.empty() : fifo_head_ == fifo_.size();
   }
   [[nodiscard]] std::size_t open_size(Strategy s) const {
-    return ordered(s) ? heap_.size() : fifo_.size();
+    return ordered(s) ? heap_.size() : fifo_.size() - fifo_head_;
   }
 
   std::uint32_t pop(Strategy s) {
     if (ordered(s)) {
-      const HeapEntry e = heap_.top();
-      heap_.pop();
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const HeapEntry e = heap_.back();
+      heap_.pop_back();
       // Lazy deletion: an entry is stale if the node found a better g since
       // it was pushed (a fresher entry is in the heap).
       if (e.g_at_push != nodes_[e.node].g) return kNoParent;
@@ -269,8 +315,7 @@ class Searcher {
       idx = fifo_.back();
       fifo_.pop_back();
     } else {
-      idx = fifo_.front();
-      fifo_.pop_front();
+      idx = fifo_[fifo_head_++];  // consumed entries stay until reset()
     }
     return idx;
   }
@@ -284,12 +329,19 @@ class Searcher {
     std::reverse(result.path.begin(), result.path.end());
   }
 
-  const Space& space_;
   std::vector<State> states_;
   std::vector<Node> nodes_;
-  std::unordered_map<State, std::uint32_t> index_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
-  std::deque<std::uint32_t> fifo_;
+  /// Open-addressing (linear probing) map from state to index in states_;
+  /// kEmptySlot marks a free slot.  Power-of-two size, at most half full.
+  std::vector<std::uint32_t> slots_ =
+      std::vector<std::uint32_t>(kInitialSlots, kEmptySlot);
+  int slot_shift_ = 64 - std::countr_zero(kInitialSlots);  // 64 - log2(size)
+  std::vector<HeapEntry> heap_;  // binary min-heap on (priority, seq)
+  /// Blind-strategy OPEN: depth-first pops the back, breadth-first reads
+  /// from fifo_head_.
+  std::vector<std::uint32_t> fifo_;
+  std::size_t fifo_head_ = 0;
+  std::vector<Successor<State>> succ_;
   std::uint64_t seq_ = 0;
 };
 
@@ -298,8 +350,8 @@ template <SearchSpace Space>
 [[nodiscard]] SearchResult<typename Space::State> find_path(
     const Space& space, const typename Space::State& start,
     const SearchOptions& opts = {}) {
-  Searcher<Space> searcher(space);
-  return searcher.run({start}, opts);
+  Searcher<Space> searcher;
+  return searcher.run(space, {start}, opts);
 }
 
 }  // namespace gcr::search

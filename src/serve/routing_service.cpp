@@ -3,6 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <exception>
@@ -11,8 +13,10 @@
 #include <iostream>
 #include <iterator>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "io/route_dump.hpp"
 #include "io/text_format.hpp"
@@ -67,6 +71,27 @@ struct FdGuard {
 
   int fd;
 };
+
+/// A SAVE name is a plain file name that cannot shadow a temp file.
+bool valid_save_name(std::string_view name) {
+  return !name.empty() && name.front() != '.' &&
+         name.find_first_of("/\\") == std::string_view::npos;
+}
+
+/// True for exactly the names write_file_durably gives its temp files:
+/// '.', a valid SAVE name, '.', and mkstemp's six letters or digits.
+bool is_save_temp(std::string_view file) {
+  constexpr std::size_t kRandom = 6;
+  if (file.size() < kRandom + 3 || file.front() != '.' ||
+      file[file.size() - kRandom - 1] != '.') {
+    return false;
+  }
+  const std::string_view tail = file.substr(file.size() - kRandom);
+  return valid_save_name(file.substr(1, file.size() - kRandom - 2)) &&
+         std::all_of(tail.begin(), tail.end(), [](char ch) {
+           return std::isalnum(static_cast<unsigned char>(ch)) != 0;
+         });
+}
 
 /// Publishes \p blob as `dir/name`, atomically and durably.  The bytes go
 /// to a temp file of their own in the same directory — concurrent saves
@@ -852,9 +877,7 @@ void RoutingService::save_pin(const PinnedSession& pin,
     resp.error = "snapshots are disabled (start with --snapshot-dir)";
     return;
   }
-  if (name.empty() || name.front() == '.' ||
-      name.find('/') != std::string::npos ||
-      name.find('\\') != std::string::npos) {
+  if (!valid_save_name(name)) {
     resp.status = RouteStatus::kError;
     resp.error = "SAVE name must be a plain file name";
     return;
@@ -934,10 +957,17 @@ void RoutingService::restore_pins(const std::string& dir) {
               << "': " << ec.message() << "\n";
     return;
   }
+  std::vector<fs::path> stale_temps;
   for (const fs::directory_entry& entry : it) {
     if (!entry.is_regular_file(ec)) continue;
-    // Dot files are unpublished SAVE temp files (see write_file_durably).
-    if (entry.path().filename().string().front() == '.') continue;
+    // Dot files are never snapshots.  A SAVE temp file (see
+    // write_file_durably) still present at startup was left by a crash
+    // before its rename, so it is deleted; other dot files are not ours.
+    const std::string file = entry.path().filename().string();
+    if (file.front() == '.') {
+      if (is_save_temp(file)) stale_temps.push_back(entry.path());
+      continue;
+    }
     const std::string path = entry.path().string();
     try {
       std::ifstream in(entry.path(), std::ios::binary);
@@ -986,6 +1016,12 @@ void RoutingService::restore_pins(const std::string& dir) {
       // file leaves the session absent rather than half-restored.
       std::cerr << "gcr_serve: skipping snapshot '" << path
                 << "': " << e.what() << "\n";
+    }
+  }
+  for (const fs::path& temp : stale_temps) {
+    if (fs::remove(temp, ec)) {
+      std::cerr << "gcr_serve: removed stale snapshot temp '"
+                << temp.string() << "'\n";
     }
   }
 }

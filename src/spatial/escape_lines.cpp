@@ -278,8 +278,8 @@ void EscapeLineSet::compact(const std::vector<std::size_t>& remap) {
   build_tables();
 }
 
-std::vector<Coord> EscapeLineSet::crossings(const Point& from, Dir d,
-                                            Coord stop) const {
+void EscapeLineSet::crossings(const Point& from, Dir d, Coord stop,
+                              std::vector<Coord>& out) const {
   const Axis ax = axis_of(d);
   const Coord origin = from.along(ax);
   const Coord off = from.along(geom::other(ax));
@@ -289,24 +289,24 @@ std::vector<Coord> EscapeLineSet::crossings(const Point& from, Dir d,
   const std::vector<std::size_t>& table =
       ax == Axis::kX ? vertical_by_x_ : horizontal_by_y_;
 
-  // Binary search the track range [lo, hi] in the perpendicular table.
-  const auto first = std::lower_bound(
-      table.begin(), table.end(), lo,
-      [this](std::size_t idx, Coord v) { return lines_[idx].track < v; });
-  const auto last = std::upper_bound(
-      table.begin(), table.end(), hi,
-      [this](Coord v, std::size_t idx) { return v < lines_[idx].track; });
-
-  std::vector<Coord> out;
-  for (auto it = first; it != last; ++it) {
+  // The table is sorted by (track, slot): scan forward from the first
+  // track >= lo until a track passes hi.  Tracks arrive ascending, so a
+  // duplicate (coincident records) can only repeat the last one appended.
+  const std::size_t base = out.size();
+  for (auto it = std::lower_bound(
+           table.begin(), table.end(), lo,
+           [this](std::size_t idx, Coord v) { return lines_[idx].track < v; });
+       it != table.end(); ++it) {
     const EscapeLine& ln = lines_[*it];
+    if (ln.track > hi) break;
     if (ln.track == origin) continue;  // exclusive of the ray origin
-    if (ln.span.contains(off)) out.push_back(ln.track);
+    if (!ln.span.contains(off)) continue;
+    if (out.size() > base && out.back() == ln.track) continue;
+    out.push_back(ln.track);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (sign_of(d) < 0) std::reverse(out.begin(), out.end());
-  return out;
+  if (sign_of(d) < 0) {
+    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());
+  }
 }
 
 }  // namespace gcr::spatial

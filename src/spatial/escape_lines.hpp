@@ -121,13 +121,15 @@ class EscapeLineSet {
     return vertical_by_x_.size() + horizontal_by_y_.size();
   }
 
-  /// All crossings of the directed probe ray from \p from to the stop
-  /// coordinate \p stop (exclusive of the origin, inclusive of the stop
-  /// coordinate) with escape lines perpendicular to the probe.  Returned as
-  /// coordinates along the probe axis, sorted in travel order, deduplicated.
-  [[nodiscard]] std::vector<geom::Coord> crossings(const geom::Point& from,
-                                                   geom::Dir d,
-                                                   geom::Coord stop) const;
+  /// Appends to \p out all crossings of the directed probe ray from \p from
+  /// to the stop coordinate \p stop (exclusive of the origin, inclusive of
+  /// the stop coordinate) with escape lines perpendicular to the probe: the
+  /// coordinates along the probe axis, in travel order, deduplicated.
+  /// Entries already in \p out are left untouched, and a caller that keeps
+  /// \p out across calls pays no allocation once it has grown.  One
+  /// forward scan of the (track, slot)-sorted lookup table; no sorting.
+  void crossings(const geom::Point& from, geom::Dir d, geom::Coord stop,
+                 std::vector<geom::Coord>& out) const;
 
  private:
   /// Writes obstacle \p i's four lines into their preassigned slots

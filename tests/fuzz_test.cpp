@@ -169,34 +169,76 @@ TEST_P(SpatialFuzz, CrossingsMatchNaiveFilter) {
   fp.cell_count = 10;
   fp.boundary = Rect{0, 0, 250, 250};
   const layout::Layout lay = workload::random_floorplan(fp);
-  const spatial::ObstacleIndex index(lay.boundary(), lay.obstacles());
-  const spatial::EscapeLineSet lines(index);
+  spatial::ObstacleIndex index(lay.boundary(), lay.obstacles());
+  spatial::EscapeLineSet lines(index);
 
   std::mt19937_64 rng(GetParam() * 101 + 9);
   std::uniform_int_distribution<Coord> c(0, 250);
-  for (int q = 0; q < gcr::test::fuzz_iters(100); ++q) {
-    const Point p{c(rng), c(rng)};
-    if (!index.routable(p)) continue;
-    for (const Dir d : geom::kAllDirs) {
-      const Coord stop = index.trace(p, d).stop;
-      const auto fast = lines.crossings(p, d, stop);
-      // Naive: scan every line.
-      std::vector<Coord> slow;
-      const Axis ax = axis_of(d);
-      const Coord lo = std::min(p.along(ax), stop);
-      const Coord hi = std::max(p.along(ax), stop);
-      for (const auto& ln : lines.lines()) {
-        if (ln.axis == ax) continue;
-        if (ln.track == p.along(ax)) continue;
-        if (ln.track < lo || ln.track > hi) continue;
-        if (!ln.span.contains(p.along(other(ax)))) continue;
-        slow.push_back(ln.track);
+  // The buffer form appends: whatever the caller already holds stays put,
+  // and a held value equal to the first crossing (0, the west and south
+  // boundary lines) must not swallow it as a duplicate.
+  const std::vector<Coord> prefix{-7, 300, 0};
+  std::vector<Coord> buf;
+  const auto check_queries = [&](int queries) {
+    for (int q = 0; q < queries; ++q) {
+      const Point p{c(rng), c(rng)};
+      if (!index.routable(p)) continue;
+      for (const Dir d : geom::kAllDirs) {
+        const Coord stop = index.trace(p, d).stop;
+        buf = prefix;
+        lines.crossings(p, d, stop, buf);
+        ASSERT_GE(buf.size(), prefix.size());
+        EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), buf.begin()))
+            << "seed " << GetParam() << " p=" << p;
+        const std::vector<Coord> fast(
+            buf.begin() + static_cast<std::ptrdiff_t>(prefix.size()),
+            buf.end());
+        // Naive: scan every live line.
+        std::vector<Coord> slow;
+        const Axis ax = axis_of(d);
+        const Coord lo = std::min(p.along(ax), stop);
+        const Coord hi = std::max(p.along(ax), stop);
+        for (const auto& ln : lines.lines()) {
+          if (ln.dead || ln.axis == ax) continue;
+          if (ln.track == p.along(ax)) continue;
+          if (ln.track < lo || ln.track > hi) continue;
+          if (!ln.span.contains(p.along(other(ax)))) continue;
+          slow.push_back(ln.track);
+        }
+        std::sort(slow.begin(), slow.end());
+        slow.erase(std::unique(slow.begin(), slow.end()), slow.end());
+        if (sign_of(d) < 0) std::reverse(slow.begin(), slow.end());
+        EXPECT_EQ(fast, slow) << "seed " << GetParam() << " p=" << p;
       }
-      std::sort(slow.begin(), slow.end());
-      slow.erase(std::unique(slow.begin(), slow.end()), slow.end());
-      if (sign_of(d) < 0) std::reverse(slow.begin(), slow.end());
-      EXPECT_EQ(fast, slow) << "seed " << GetParam() << " p=" << p;
     }
+  };
+  check_queries(gcr::test::fuzz_iters(100));
+
+  // Incremental updates on the same set: new obstacles snapped to existing
+  // edge coordinates (coincident tracks, duplicate records) and removals
+  // (dead slots that must never be crossed).
+  std::uniform_int_distribution<Coord> extent(3, 40);
+  const auto some_edge = [&] {
+    const auto& ln = lines.lines()[rng() % lines.lines().size()];
+    return ln.track;
+  };
+  for (int step = 0; step < 12; ++step) {
+    if (step % 3 == 2) {
+      std::vector<std::size_t> live;
+      for (std::size_t i = 0; i < index.size(); ++i) {
+        if (index.alive(i)) live.push_back(i);
+      }
+      if (live.empty()) continue;
+      const std::size_t victim = live[rng() % live.size()];
+      ASSERT_TRUE(index.remove(victim));
+      lines.remove_obstacle(index, victim);
+    } else {
+      const Coord x = rng() % 2 == 0 ? some_edge() : c(rng);
+      const Coord y = rng() % 2 == 0 ? some_edge() : c(rng);
+      index.insert(Rect{x, y, x + extent(rng), y + extent(rng)});
+      lines.insert_obstacle(index, index.size() - 1);
+    }
+    check_queries(gcr::test::fuzz_iters(100) / 4 + 1);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "core/netlist_router.hpp"
 #include "core/search_environment.hpp"
 #include "core/steiner.hpp"
+#include "crossings.hpp"
 #include "fuzz_env.hpp"
 #include "reference_sequential.hpp"
 #include "spatial/escape_lines.hpp"
@@ -88,8 +89,8 @@ void expect_lines_equivalent(const spatial::EscapeLineSet& incremental,
     if (!index.routable(p)) continue;
     for (const Dir d : geom::kAllDirs) {
       const Coord stop = index.trace(p, d).stop;
-      EXPECT_EQ(incremental.crossings(p, d, stop),
-                fresh.crossings(p, d, stop))
+      EXPECT_EQ(test::crossings(incremental, p, d, stop),
+                test::crossings(fresh, p, d, stop))
           << p << " dir " << static_cast<int>(d);
     }
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
@@ -143,8 +144,8 @@ TEST(Searcher, MultiSourceSeedsAllStarts) {
   g.edges["mid"] = {{"t", 10}};
   g.edges["near"] = {{"t", 1}};
   g.goal = "t";
-  search::Searcher<GraphSpace> searcher(g);
-  const auto r = searcher.run({"far", "near"},
+  search::Searcher<GraphSpace> searcher;
+  const auto r = searcher.run(g, {"far", "near"},
                               SearchOptions{.strategy = Strategy::kBestFirst});
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.cost, 1);
@@ -193,6 +194,102 @@ TEST(Searcher, StatsCountExpansionsAndGenerations) {
   EXPECT_GE(r.stats.nodes_expanded, 2u);
   EXPECT_GE(r.stats.nodes_generated, 3u);
   EXPECT_GE(r.stats.max_open_size, 1u);
+}
+
+/// A rows x cols 4-neighbour grid with uneven edge weights, goal in the far
+/// corner.  Large grids intern far more states than a fresh Searcher's slot
+/// table holds, so the table grows in the middle of the search.
+GraphSpace weighted_grid(int rows, int cols) {
+  GraphSpace g;
+  const auto name = [](int r, int c) {
+    return std::to_string(r) + "," + std::to_string(c);
+  };
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      auto& out = g.edges[name(r, c)];
+      const geom::Cost w = (r * 7 + c * 3) % 5 + 1;
+      if (r + 1 < rows) out.push_back({name(r + 1, c), w});
+      if (c + 1 < cols) out.push_back({name(r, c + 1), 6 - w});
+      if (r > 0) out.push_back({name(r - 1, c), w + 1});
+      if (c > 0) out.push_back({name(r, c - 1), 2});
+    }
+  }
+  g.goal = name(rows - 1, cols - 1);
+  return g;
+}
+
+void expect_same_result(const search::SearchResult<std::string>& got,
+                        const search::SearchResult<std::string>& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.found, want.found) << what;
+  EXPECT_EQ(got.cost, want.cost) << what;
+  EXPECT_EQ(got.path, want.path) << what;
+  EXPECT_EQ(got.stats.nodes_expanded, want.stats.nodes_expanded) << what;
+  EXPECT_EQ(got.stats.nodes_generated, want.stats.nodes_generated) << what;
+  EXPECT_EQ(got.stats.nodes_reopened, want.stats.nodes_reopened) << what;
+  EXPECT_EQ(got.stats.max_open_size, want.stats.max_open_size) << what;
+  EXPECT_EQ(got.stats.aborted, want.stats.aborted) << what;
+}
+
+TEST(Searcher, ReusedSearcherCarriesNoStateBetweenRuns) {
+  GraphSpace reopen;  // the inconsistent-heuristic case above
+  reopen.edges["s"] = {{"a", 10}, {"b", 1}};
+  reopen.edges["a"] = {{"t", 1}};
+  reopen.edges["b"] = {{"a", 2}};
+  reopen.goal = "t";
+  reopen.h = {{"s", 0}, {"a", 0}, {"b", 9}, {"t", 0}};
+
+  GraphSpace chain;
+  for (int i = 0; i < 40; ++i) {
+    chain.edges["c" + std::to_string(i)] = {{"c" + std::to_string(i + 1), 1}};
+  }
+  chain.goal = "c40";
+
+  // Enough states to outgrow the initial slot table several times over.
+  const int side = 3 * static_cast<int>(std::sqrt(
+                           search::Searcher<GraphSpace>::kInitialSlots));
+  const GraphSpace grid = weighted_grid(side, side);
+  ASSERT_GT(grid.edges.size(),
+            2 * search::Searcher<GraphSpace>::kInitialSlots);
+
+  struct Case {
+    std::string what;
+    const GraphSpace* space;
+    std::vector<std::string> starts;
+    SearchOptions opts;
+  };
+  const GraphSpace dia = diamond();
+  const std::vector<Case> cases = {
+      {"diamond A*", &dia, {"s"}, {.strategy = Strategy::kAStar}},
+      {"grid best-first", &grid, {"0,0"}, {.strategy = Strategy::kBestFirst}},
+      {"grid aborted", &grid, {"0,0"},
+       {.strategy = Strategy::kBestFirst, .max_expansions = 50}},
+      {"chain depth-limited DFS", &chain, {"c0"},
+       {.strategy = Strategy::kDepthFirst, .depth_limit = 10}},
+      {"reopening A*", &reopen, {"s"}, {.strategy = Strategy::kAStar}},
+      {"grid breadth-first", &grid, {"0,0"},
+       {.strategy = Strategy::kBreadthFirst}},
+      {"diamond exhaustive", &dia, {"s"}, {.strategy = Strategy::kExhaustive}},
+      {"grid multi-source", &grid, {"5,9", "0,0", "12,3"},
+       {.strategy = Strategy::kBestFirst}},
+      {"chain DFS", &chain, {"c0"}, {.strategy = Strategy::kDepthFirst}},
+      {"diamond greedy", &dia, {"s"}, {.strategy = Strategy::kGreedy}},
+  };
+
+  search::Searcher<GraphSpace> reused;
+  // Forward and then backward, so every case runs both on tables left by a
+  // small search and on tables left by a large or aborted one.
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      const Case& c = cases[round == 0 ? k : cases.size() - 1 - k];
+      const auto got = reused.run(*c.space, c.starts, c.opts);
+      const auto want =
+          c.starts.size() == 1
+              ? search::find_path(*c.space, c.starts.front(), c.opts)
+              : search::Searcher<GraphSpace>{}.run(*c.space, c.starts, c.opts);
+      expect_same_result(got, want, c.what);
+    }
+  }
 }
 
 TEST(SearchStats, Accumulate) {

@@ -329,6 +329,59 @@ TEST(SnapshotRestore, CorruptOrTruncatedBlobLeavesSessionAbsent) {
   EXPECT_EQ(service.snapshot().pins_restored, 0u);
 }
 
+TEST(SnapshotRestore, StaleSaveTempsAreDeletedOtherDotFilesKept) {
+  TempDir dir;
+  const std::string blob = write_snapshot(dir.path, workload_text(9, 12, 7));
+  ASSERT_FALSE(blob.empty());
+  const auto write_file = [](const fs::path& p, const std::string& bytes) {
+    std::ofstream out(p, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  const auto read_file = [](const fs::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+
+  // A crash between mkstemp and the rename leaves `.<name>.XXXXXX` behind
+  // next to the published snapshot.  Dot files outside that pattern are
+  // someone else's and must survive.
+  const fs::path stale = dir.path / ".codec.snap.Q7zk2P";
+  write_file(stale, blob.substr(0, blob.size() / 2));
+  const std::vector<fs::path> foreign = {dir.path / ".hidden",
+                                         dir.path / ".codec.snap.partial",
+                                         dir.path / "..codec.snap.Q7zk2P"};
+  for (const fs::path& p : foreign) write_file(p, "not ours");
+
+  serve::RoutingService::Options opts;
+  opts.workers = 1;
+  opts.restore_dir = dir.path.string();
+  opts.snapshot_dir = dir.path.string();
+  serve::RoutingService service(opts);
+  EXPECT_FALSE(fs::exists(stale));
+  for (const fs::path& p : foreign) {
+    EXPECT_EQ(read_file(p), "not ours") << p;
+  }
+  ASSERT_EQ(service.snapshot().pins_restored, 1u);
+
+  // The restored pin re-saves to the very bytes it was restored from.
+  const auto owner = make_owner();
+  serve::PinRequest claim;
+  claim.op = serve::PinRequest::Op::kPin;
+  claim.key = kFirstHandle;
+  claim.owner = owner;
+  ASSERT_TRUE(pin_op(service, std::move(claim)).ok());
+  serve::PinRequest save;
+  save.op = serve::PinRequest::Op::kSave;
+  save.key = kFirstHandle;
+  save.save_name = "again.snap";
+  save.owner = owner;
+  const serve::PinResponse saved = pin_op(service, std::move(save));
+  ASSERT_TRUE(saved.ok()) << saved.error;
+  EXPECT_EQ(read_file(dir.path / "again.snap"), blob);
+}
+
 // -------------------------------------------------------------- lifecycle
 
 TEST(PinProtocol, LifecycleOverTheWire) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "crossings.hpp"
 #include "spatial/escape_lines.hpp"
 #include "spatial/obstacle_index.hpp"
 
@@ -132,7 +133,7 @@ TEST(EscapeLines, CrossingsAlongARay) {
   // Horizontal ray at y=10 from x=5 to the east boundary crosses the
   // vertical lines x=40 and x=60 (edge lines span the whole layout here)
   // and the boundary line x=100.
-  const auto xs = lines.crossings(Point{5, 10}, Dir::kEast, 100);
+  const auto xs = test::crossings(lines, Point{5, 10}, Dir::kEast, 100);
   EXPECT_EQ(xs, (std::vector<geom::Coord>{40, 60, 100}));
 }
 
@@ -143,9 +144,9 @@ TEST(EscapeLines, CrossingsRespectSpanContainment) {
       Rect{0, 0, 100, 100},
       {Rect{40, 40, 60, 60}, Rect{30, 80, 70, 95}});
   const spatial::EscapeLineSet lines(idx);
-  const auto below = lines.crossings(Point{5, 10}, Dir::kEast, 100);
+  const auto below = test::crossings(lines, Point{5, 10}, Dir::kEast, 100);
   EXPECT_TRUE(std::count(below.begin(), below.end(), 40) == 1);
-  const auto above = lines.crossings(Point{5, 97}, Dir::kEast, 100);
+  const auto above = test::crossings(lines, Point{5, 97}, Dir::kEast, 100);
   EXPECT_TRUE(std::count(above.begin(), above.end(), 40) == 0);
   // x=30/70 (the neighbor's edges) do span y=97.
   EXPECT_TRUE(std::count(above.begin(), above.end(), 30) == 1);
@@ -155,10 +156,10 @@ TEST(EscapeLines, CrossingsExcludeOriginAndOrderByTravel) {
   const auto idx = one_block();
   const spatial::EscapeLineSet lines(idx);
   // Westward ray: descending coordinates.
-  const auto xs = lines.crossings(Point{95, 10}, Dir::kWest, 0);
+  const auto xs = test::crossings(lines, Point{95, 10}, Dir::kWest, 0);
   EXPECT_EQ(xs, (std::vector<geom::Coord>{60, 40, 0}));
   // A ray starting exactly on a line does not re-emit its own track.
-  const auto from_edge = lines.crossings(Point{40, 10}, Dir::kEast, 100);
+  const auto from_edge = test::crossings(lines, Point{40, 10}, Dir::kEast, 100);
   EXPECT_EQ(from_edge, (std::vector<geom::Coord>{60, 100}));
 }
 
@@ -178,7 +179,7 @@ TEST(EscapeLines, CoincidentEdgesKeepPerSourceRecords) {
                ln.span == Interval{0, 100};
       });
   EXPECT_EQ(count, 2);
-  const auto xs = lines.crossings(Point{5, 50}, Dir::kEast, 100);
+  const auto xs = test::crossings(lines, Point{5, 50}, Dir::kEast, 100);
   EXPECT_EQ(std::count(xs.begin(), xs.end(), 40), 1);  // deduplicated
 }
 
@@ -216,8 +217,8 @@ TEST(EscapeLines, IncrementalInsertSplitsCoincidentCorridors) {
 
   // Crossing queries agree with the from-scratch build on both sides.
   for (const geom::Coord y : {15, 45, 75}) {
-    EXPECT_EQ(lines.crossings(Point{5, y}, Dir::kEast, 100),
-              fresh_lines.crossings(Point{5, y}, Dir::kEast, 100))
+    EXPECT_EQ(test::crossings(lines, Point{5, y}, Dir::kEast, 100),
+              test::crossings(fresh_lines, Point{5, y}, Dir::kEast, 100))
         << "y=" << y;
   }
 }
