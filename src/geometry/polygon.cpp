@@ -59,7 +59,11 @@ bool OrthoPolygon::valid() const {
       }
     }
   }
-  return area() > 0;
+  // Adjacent edges are perpendicular and meet only at their shared vertex,
+  // and no two other edges touch, so the boundary is a simple closed curve
+  // and encloses a positive area.  area() is not consulted: its shoelace
+  // products overflow for untrusted coordinates far beyond any layout.
+  return true;
 }
 
 Rect OrthoPolygon::bounding_box() const noexcept {

@@ -122,23 +122,63 @@ std::vector<ValidationIssue> Layout::validate() const {
   const auto add = [&issues](ValidationIssue::Kind k, std::string d) {
     issues.push_back(ValidationIssue{k, std::move(d)});
   };
+  // Labels are built only when an issue is recorded: a valid layout formats
+  // no strings at all.
+  const auto cell_label = [this](std::size_t i) {
+    return "cell#" + std::to_string(i) + " '" + cells_[i].name() + "'";
+  };
+  const auto term_label = [](std::size_t i, std::size_t t) {
+    return "cell#" + std::to_string(i) + "/term#" + std::to_string(t);
+  };
+  const auto pad_label = [](std::size_t t) {
+    return "pad#" + std::to_string(t);
+  };
+
+  // -- Coordinate range.  The checks below and the router's cost arithmetic
+  //    subtract and scale coordinates, which is only defined inside the
+  //    bound, so an out-of-range layout reports nothing else.
+  const auto in_range = [](geom::Coord v) {
+    return v >= -kMaxCoordinate && v <= kMaxCoordinate;
+  };
+  const auto rect_in_range = [&in_range](const geom::Rect& r) {
+    return in_range(r.xlo) && in_range(r.ylo) && in_range(r.xhi) &&
+           in_range(r.yhi);
+  };
+  const auto pins_in_range = [&in_range](const Terminal& t) {
+    return std::all_of(t.pins.begin(), t.pins.end(), [&](const Pin& p) {
+      return in_range(p.pos.x) && in_range(p.pos.y);
+    });
+  };
+  constexpr auto kOutOfRange = ValidationIssue::Kind::kCoordinateOutOfRange;
+  if (!rect_in_range(boundary_)) add(kOutOfRange, "boundary");
+  if (!in_range(min_separation_)) add(kOutOfRange, "minsep");
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    // A polygon's vertices lie inside its outline (the bounding box).
+    if (!rect_in_range(cells_[i].outline())) add(kOutOfRange, cell_label(i));
+    const std::vector<Terminal>& terms = cells_[i].terminals();
+    for (std::size_t t = 0; t < terms.size(); ++t) {
+      if (!pins_in_range(terms[t])) add(kOutOfRange, term_label(i, t));
+    }
+  }
+  for (std::size_t t = 0; t < pads_.size(); ++t) {
+    if (!pins_in_range(pads_[t])) add(kOutOfRange, pad_label(t));
+  }
+  if (!issues.empty()) return issues;
 
   // -- Placement restrictions (paper: rectangular, orthogonal, finite and
   //    non-zero distance apart, inside the routing boundary).
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     const Cell& c = cells_[i];
-    std::ostringstream who;
-    who << "cell#" << i << " '" << c.name() << "'";
     if (!c.outline().proper()) {
-      add(ValidationIssue::Kind::kCellNotProper, who.str());
+      add(ValidationIssue::Kind::kCellNotProper, cell_label(i));
       continue;
     }
     if (c.polygonal() && !c.shape().valid()) {
-      add(ValidationIssue::Kind::kInvalidPolygon, who.str());
+      add(ValidationIssue::Kind::kInvalidPolygon, cell_label(i));
       continue;
     }
     if (!boundary_.empty() && !boundary_.contains(c.outline())) {
-      add(ValidationIssue::Kind::kCellOutsideBoundary, who.str());
+      add(ValidationIssue::Kind::kCellOutsideBoundary, cell_label(i));
     }
   }
   // Pairwise separation is measured between the cells' actual blocking
@@ -172,16 +212,16 @@ std::vector<ValidationIssue> Layout::validate() const {
   // -- Pins must not sit strictly inside any blocking interior (a pin on a
   //    cell boundary is the normal case; a buried pin is unreachable).
   const auto obstacle_rects = obstacles();
-  const auto check_pins = [&](const Terminal& t, const std::string& who) {
+  const auto check_pins = [&](const Terminal& t, const auto& label) {
     if (t.pins.empty()) {
-      add(ValidationIssue::Kind::kTerminalNoPins, who);
+      add(ValidationIssue::Kind::kTerminalNoPins, label());
       return;
     }
     for (const Pin& p : t.pins) {
       for (const geom::Rect& r : obstacle_rects) {
         if (r.contains_open(p.pos)) {
           std::ostringstream os;
-          os << who << " pin " << p.pos << " inside obstacle " << r;
+          os << label() << " pin " << p.pos << " inside obstacle " << r;
           add(ValidationIssue::Kind::kPinInsideCell, os.str());
           break;
         }
@@ -190,29 +230,26 @@ std::vector<ValidationIssue> Layout::validate() const {
   };
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     for (std::size_t t = 0; t < cells_[i].terminals().size(); ++t) {
-      std::ostringstream who;
-      who << "cell#" << i << "/term#" << t;
-      check_pins(cells_[i].terminals()[t], who.str());
+      check_pins(cells_[i].terminals()[t], [&] { return term_label(i, t); });
     }
   }
   for (std::size_t t = 0; t < pads_.size(); ++t) {
-    std::ostringstream who;
-    who << "pad#" << t;
-    check_pins(pads_[t], who.str());
+    check_pins(pads_[t], [&] { return pad_label(t); });
   }
 
   // -- Netlist consistency.
   for (std::size_t n = 0; n < nets_.size(); ++n) {
     const Net& net = nets_[n];
-    std::ostringstream who;
-    who << "net#" << n << " '" << net.name() << "'";
+    const auto net_label = [&] {
+      return "net#" + std::to_string(n) + " '" + net.name() + "'";
+    };
     if (net.terminals().size() < 2) {
-      add(ValidationIssue::Kind::kNetTooSmall, who.str());
+      add(ValidationIssue::Kind::kNetTooSmall, net_label());
     }
     for (const TerminalRef& ref : net.terminals()) {
       if (!terminal_exists(ref)) {
         add(ValidationIssue::Kind::kDanglingTerminal,
-            who.str() + " -> " + describe(ref));
+            net_label() + " -> " + describe(ref));
       }
     }
   }
@@ -230,6 +267,7 @@ std::string_view to_string(ValidationIssue::Kind k) noexcept {
     case Kind::kDanglingTerminal: return "dangling-terminal";
     case Kind::kNetTooSmall: return "net-too-small";
     case Kind::kTerminalNoPins: return "terminal-no-pins";
+    case Kind::kCoordinateOutOfRange: return "coordinate-out-of-range";
   }
   return "unknown";
 }

@@ -99,6 +99,12 @@ class Net {
   std::vector<TerminalRef> terminals_;
 };
 
+/// Largest coordinate magnitude a valid layout may use (2^31 - 1), and the
+/// largest minimum separation.  Inside it a Manhattan distance is below
+/// 2^33 and a scaled edge cost (length * route::kCostScale = 64) below 2^39,
+/// so path costs summed over any route stay far from int64 overflow.
+inline constexpr geom::Coord kMaxCoordinate = (geom::Coord{1} << 31) - 1;
+
 /// One placement-rule or netlist-consistency violation found by validation.
 struct ValidationIssue {
   enum class Kind {
@@ -110,6 +116,7 @@ struct ValidationIssue {
     kDanglingTerminal,     ///< net references a terminal that does not exist
     kNetTooSmall,          ///< net with fewer than two terminals
     kTerminalNoPins,       ///< terminal with no pins
+    kCoordinateOutOfRange,  ///< a coordinate or minsep beyond kMaxCoordinate
   };
   Kind kind;
   std::string detail;
@@ -161,7 +168,9 @@ class Layout {
   [[nodiscard]] std::vector<geom::Rect> obstacles() const;
 
   /// Checks every placement restriction and netlist invariant; empty result
-  /// means the layout is routable by the global router.
+  /// means the layout is routable by the global router.  Coordinates beyond
+  /// kMaxCoordinate are reported alone (kCoordinateOutOfRange): the other
+  /// checks are not run on them.
   [[nodiscard]] std::vector<ValidationIssue> validate() const;
   [[nodiscard]] bool valid() const { return validate().empty(); }
 

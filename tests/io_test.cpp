@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "core/netlist_router.hpp"
@@ -145,6 +146,64 @@ TEST(TextFormat, CommentsAndBlankLinesIgnored) {
   const layout::Layout lay = io::read_layout_string(
       "\n# header\nboundary 0 0 9 9\n\ncell a 1 1 3 3  # inline comment\n");
   EXPECT_EQ(lay.cells().size(), 1u);
+}
+
+TEST(TextFormat, PadRejectsOddTrailingCoordinate) {
+  // `term` rejects the same arity; a dropped coordinate is a typo, not a pin.
+  try {
+    (void)io::read_layout_string("boundary 0 0 999 999\npad vdd 0 512 7\n");
+    FAIL() << "expected ParseError";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_STREQ(e.what(), "line 2: pad needs pin coordinate pairs");
+  }
+  const layout::Layout lay =
+      io::read_layout_string("boundary 0 0 999 999\npad vdd 0 512 0 600\n");
+  ASSERT_EQ(lay.pads().size(), 1u);
+  EXPECT_EQ(lay.pads()[0].pins.size(), 2u);
+}
+
+TEST(TextFormat, RejectsDuplicateTerminalWithinCell) {
+  // The same terminal name on two cells is fine; twice on one cell would
+  // shadow the first terminal and leave it unreachable from any net.
+  const std::string two_cells =
+      "boundary 0 0 99 99\ncell a 10 10 20 20\ncell b 30 30 40 40\n"
+      "term a t 10 15\nterm b t 30 35\nnet n a.t b.t\n";
+  EXPECT_EQ(io::read_layout_string(two_cells).nets().size(), 1u);
+  try {
+    (void)io::read_layout_string(two_cells + "term a t 20 15\n");
+    FAIL() << "expected ParseError";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.line(), 7u);
+    EXPECT_STREQ(e.what(), "line 7: duplicate terminal 'a.t'");
+  }
+}
+
+TEST(TextFormat, TokenGrammarEdges) {
+  // A leading '+' is a sign; '#' opens a comment only at a token start; CR,
+  // VT and FF separate tokens like spaces.
+  const layout::Layout lay = io::read_layout_string(
+      "boundary +0 -0 +90 90\r\ncell a#b 1 1 3 3 #c\v\f\n"
+      "term a#b t 3 2\npad p 50 50\nnet n a#b.t pad.p");
+  EXPECT_EQ(lay.boundary(), (Rect{0, 0, 90, 90}));
+  ASSERT_EQ(lay.cells().size(), 1u);
+  EXPECT_EQ(lay.cells()[0].name(), "a#b");
+  ASSERT_EQ(lay.nets().size(), 1u);
+  EXPECT_EQ(lay.nets()[0].terminals().size(), 2u);
+  for (const char* bad : {"+-5", "--5", "0x10", "1e3", "5,", "+", "-",
+                          "9223372036854775808"}) {
+    try {
+      (void)io::read_layout_string(std::string("minsep ") + bad);
+      FAIL() << "accepted " << bad;
+    } catch (const io::ParseError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("line 1: expected integer, got '") + bad + "'");
+    }
+  }
+  EXPECT_EQ(io::read_layout_string("boundary 0 0 9 9\nminsep "
+                                   "-9223372036854775808")
+                .min_separation(),
+            std::numeric_limits<geom::Coord>::min());
 }
 
 TEST(Svg, ContainsCellsPinsAndRoutes) {

@@ -202,4 +202,31 @@ TEST(Layout, IssueKindNames) {
   EXPECT_EQ(layout::to_string(Kind::kNetTooSmall), "net-too-small");
 }
 
+TEST(Layout, RejectsCoordinatesBeyondTheBound) {
+  constexpr geom::Coord kMax = layout::kMaxCoordinate;
+  layout::Layout at_bound(Rect{-kMax, -kMax, kMax, kMax});
+  at_bound.add_cell(layout::Cell{"a", Rect{kMax - 10, kMax - 10, kMax, kMax}});
+  at_bound.add_pad_pin("p", Point{-kMax, kMax});
+  EXPECT_TRUE(at_bound.valid()) << at_bound.validate().front().detail;
+
+  // One past the bound anywhere — boundary, cell, pin, minsep — is reported
+  // alone: the overlap and containment checks never see the coordinates.
+  layout::Layout beyond(Rect{0, 0, kMax + 1, 10});
+  beyond.add_cell(layout::Cell{"a", Rect{-kMax - 1, 0, 5, 5}});
+  beyond.add_cell(layout::Cell{"b", Rect{0, 0, 5, 5}});  // overlaps a
+  beyond.add_pad_pin("p", Point{0, kMax + 1});
+  beyond.set_min_separation(kMax + 1);
+  const auto issues = beyond.validate();
+  ASSERT_EQ(issues.size(), 4u);
+  for (const auto& issue : issues) {
+    EXPECT_EQ(issue.kind, layout::ValidationIssue::Kind::kCoordinateOutOfRange)
+        << issue.detail;
+  }
+  EXPECT_EQ(issues[0].detail, "boundary");
+  EXPECT_EQ(issues[1].detail, "minsep");
+  EXPECT_EQ(issues[2].detail, "cell#0 'a'");
+  EXPECT_EQ(issues[3].detail, "pad#0");
+  EXPECT_EQ(layout::to_string(issues[0].kind), "coordinate-out-of-range");
+}
+
 }  // namespace

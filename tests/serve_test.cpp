@@ -521,6 +521,35 @@ TEST(Protocol, UnframeableLoadDropsConnection) {
   EXPECT_NE(out.find("larger than 64 MiB"), std::string::npos);
 }
 
+TEST(Protocol, CoordinateBoundRoutesAndBeyondIsRejected) {
+  // Corner to corner of the largest legal plane: 2^33 of wire at cost
+  // scale 64 stays clear of int64 overflow (the sanitizer CI job runs
+  // this).  One unit further is refused at LOAD.
+  const auto layout_text = [](const std::string& hi) {
+    return "boundary -2147483647 -2147483647 " + hi + " 2147483647\n"
+           "cell c 0 0 1000 1000\nterm c t 1000 500\n"
+           "pad p -2147483647 -2147483647\npad q 2147483647 2147483647\n"
+           "net n pad.p pad.q c.t\n";
+  };
+  const std::string at = layout_text("2147483647");
+  const std::string beyond = layout_text("2147483648");
+  const std::string key = serve::SessionCache::content_key(at);
+  std::istringstream replies(run_protocol(
+      "LOAD " + std::to_string(at.size()) + "\n" + at + "ROUTE " + key +
+      "\nLOAD " + std::to_string(beyond.size()) + "\n" + beyond + "QUIT\n"));
+  EXPECT_EQ(next_frame(replies).status.rfind("OK 0 session=" + key, 0), 0u);
+  const Frame route = next_frame(replies);
+  EXPECT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
+  EXPECT_NE(route.status.find("routed=1 failed=0"), std::string::npos)
+      << route.status;
+  const Frame rejected = next_frame(replies);
+  EXPECT_EQ(rejected.status.rfind("ERR ", 0), 0u) << rejected.status;
+  EXPECT_NE(rejected.status.find("coordinate-out-of-range"),
+            std::string::npos)
+      << rejected.status;
+  EXPECT_EQ(next_frame(replies).status, "OK 0 bye");
+}
+
 TEST(Protocol, TruncatedLoadBodyDropsConnection) {
   // 100 declared bytes, far fewer supplied: framing is unrecoverable.
   const std::string out = run_protocol("LOAD 100\nboundary 0 0 9 9\n");
