@@ -44,7 +44,7 @@ std::vector<Variant> variants() {
 bool bends_all_on_boundary(const spatial::ObstacleIndex& idx,
                            const route::Route& r) {
   for (std::size_t i = 1; i + 1 < r.points.size(); ++i) {
-    if (!route::on_obstacle_boundary(idx, r.points[i])) return false;
+    if (!idx.on_boundary(r.points[i])) return false;
   }
   return true;
 }

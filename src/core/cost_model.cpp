@@ -5,15 +5,7 @@
 namespace gcr::route {
 
 using geom::Dir;
-using geom::Point;
-using geom::Rect;
 using geom::Segment;
-
-bool on_obstacle_boundary(const spatial::ObstacleIndex& idx, const Point& p) {
-  return std::any_of(
-      idx.obstacles().begin(), idx.obstacles().end(),
-      [&p](const Rect& r) { return r.on_boundary(p); });
-}
 
 geom::Cost BendCost::penalty(const EdgeContext& ctx) const {
   const bool bend =
@@ -29,7 +21,7 @@ geom::Cost InvertedCornerCost::penalty(const EdgeContext& ctx) const {
   if (!bend) return 0;
   // A bend hugging a cell is preferred; a floating bend is the inverted
   // corner's signature and pays epsilon.
-  return on_obstacle_boundary(ctx.obstacles, ctx.from.p) ? 0 : epsilon_;
+  return ctx.obstacles.on_boundary(ctx.from.p) ? 0 : epsilon_;
 }
 
 geom::Cost RegionPenaltyCost::penalty(const EdgeContext& ctx) const {

@@ -32,6 +32,24 @@ struct EdgeContext {
 };
 
 /// Interface: price the penalty of a probe edge (>= 0, in scaled cost units).
+///
+/// The gridless search prunes successors exactly (gridless_router.hpp), and
+/// that is only sound for models that keep this contract:
+///   (a) Subadditive along a straight line.  For a probe from state `a`
+///       moving `d` past `b` to `c` (b strictly between a.p and c, or at c):
+///         penalty({a, d, c}) <= penalty({a, d, b})
+///                               + penalty({{b, d}, d, c})
+///       — one long edge never costs more than the same edge split at `b`
+///       and continued straight on.  This is why a probed state need not
+///       re-probe the ray it arrived on.
+///   (b) The incoming direction `from.in_dir` matters only through whether
+///       the move bends (changes axis): two arrivals at the same point that
+///       both bend, or both go straight, pay the same; and a start
+///       (`kNoDir`) never pays more than any arrival.  This is why a closed
+///       opposite-direction twin, or a start, at the same point covers a
+///       state's successors.
+/// Every model below keeps it (gridless_space_fuzz_test checks (a) and (b)
+/// on random layouts and edges), and so does any sum of them.
 class CostModel {
  public:
   virtual ~CostModel() = default;
@@ -155,9 +173,5 @@ class HistoryCost final : public CostModel {
   geom::Cost history_base_;
   std::vector<Region> regions_;
 };
-
-/// True when \p p lies on the boundary of any obstacle (a "hugging" point).
-[[nodiscard]] bool on_obstacle_boundary(const spatial::ObstacleIndex& idx,
-                                        const geom::Point& p);
 
 }  // namespace gcr::route

@@ -29,13 +29,17 @@ GridlessSpace::GridlessSpace(const spatial::ObstacleIndex& obstacles,
 
 void GridlessSpace::successors(const State& s,
                                std::vector<search::Successor<State>>& out) const {
+  // A state reached by a probe only turns.  Reversing revisits points the
+  // incoming probe already generated.  Going straight on re-probes the
+  // incoming ray: the parent's probe had the same stop and a superset of
+  // these crossings and goal projections, so it already offered every
+  // landing point beyond s.p, at no greater cost (CostModel's contract).
+  // A start probes all four directions.
+  const bool turns_only = s.in_dir != kNoDir;
+  const Axis in_axis =
+      turns_only ? axis_of(static_cast<Dir>(s.in_dir)) : Axis::kX;
   for (const Dir d : geom::kAllDirs) {
-    // A probe never immediately reverses: any point it would revisit was
-    // already generated by the incoming probe, and a U-turn is never on a
-    // minimal path with non-negative costs.
-    if (s.in_dir != kNoDir && d == opposite(static_cast<Dir>(s.in_dir))) {
-      continue;
-    }
+    if (turns_only && axis_of(d) == in_axis) continue;
     const Axis ax = axis_of(d);
     const Coord origin = s.p.along(ax);
     const spatial::RayHit hit = obstacles_.trace(s.p, d);
@@ -73,6 +77,19 @@ void GridlessSpace::successors(const State& s,
       out.push_back({State{q, static_cast<std::uint8_t>(d)}, edge});
     }
   }
+}
+
+search::Dominators<RouteState, 2> GridlessSpace::dominators(
+    const State& s) const {
+  search::Dominators<RouteState, 2> out;
+  if (s.in_dir == kNoDir) return out;
+  // The twin arriving from the other side and a start at the same point
+  // probe the same two perpendicular rays (a start: all four), and by
+  // CostModel's contract price every turn no higher.
+  out.push_back(State{s.p, static_cast<std::uint8_t>(
+                               opposite(static_cast<Dir>(s.in_dir)))});
+  out.push_back(State{s.p, kNoDir});
+  return out;
 }
 
 geom::Cost GridlessSpace::heuristic(const State& s) const {

@@ -19,17 +19,28 @@
 /// Successor generation implements the paper's two rules — a probe
 /// "(1) extends any path as far toward the goal as is feasible in x and y and
 /// (2) hugs cells (obstacles) as they are encountered" — by ray tracing:
-/// from the current point a ray is cast in each axis direction, stopped at
-/// the first cell interior (or the routing boundary), and successors are
-/// emitted at
+/// a ray is cast from the current point, stopped at the first cell interior
+/// (or the routing boundary), and successors are emitted at
 ///   * every crossing with an escape line (the maximal extensions of cell
 ///     edges, where hugging turns happen),
 ///   * the goal-aligned projection (extend toward the goal), and
 ///   * the hug point on the blocking boundary itself.
+/// A start casts a ray in each of the four directions.  A state reached by a
+/// probe casts only the two rays perpendicular to the one it arrived on: the
+/// reverse ray revisits what the incoming probe generated, and the straight
+/// ray is a suffix of the incoming one, whose probe already emitted every
+/// landing point on it at no greater cost (the contract on CostModel).
 /// Because a shortest rectilinear path among disjoint rectangles always
 /// exists whose bends lie on these lines, A* with the Manhattan heuristic is
 /// admissible: it returns a *minimal* route, while typically expanding
 /// orders of magnitude fewer nodes than the Lee–Moore grid (paper Figure 1).
+///
+/// The space also names each probed state's dominators for the searcher
+/// (search::HasDominators): at the same point, the twin that arrived from
+/// the opposite side casts the same two rays, and a start casts all four, so
+/// once either is expanded at no greater cost the state's own rays are
+/// skipped.  Both rules are exact — routes and every search counter but
+/// `nodes_generated` are those of probing all three forward directions.
 
 namespace gcr::route {
 
@@ -63,6 +74,11 @@ class GridlessSpace {
 
   void successors(const State& s,
                   std::vector<search::Successor<State>>& out) const;
+
+  /// The states whose expansion covers that of \p s (search::HasDominators):
+  /// the opposite-direction twin and the start at the same point.  None for
+  /// a start.
+  [[nodiscard]] search::Dominators<State, 2> dominators(const State& s) const;
 
   /// Scaled Manhattan distance to the nearest goal — the paper's h-hat.
   [[nodiscard]] geom::Cost heuristic(const State& s) const;

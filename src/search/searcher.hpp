@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <concepts>
@@ -39,6 +40,11 @@
 /// router therefore keeps one `thread_local` instance, which gives every
 /// daemon worker and every batch-routing thread its own warm tables without
 /// a lock.
+///
+/// A space may also name, through the optional `dominators` hook below,
+/// states whose expansion covers that of a given state; an ordered search
+/// then skips the successors of a state whose dominator is already closed at
+/// no greater g, without changing anything but `nodes_generated`.
 
 namespace gcr::search {
 
@@ -57,6 +63,43 @@ concept SearchSpace = requires(const Space& sp, const typename Space::State& s,
   { sp.successors(s, out) } -> std::same_as<void>;
   { sp.heuristic(s) } -> std::convertible_to<geom::Cost>;
   { sp.is_goal(s) } -> std::convertible_to<bool>;
+};
+
+/// What an optional `dominators` hook returns: up to N states, held inline
+/// so the hook allocates nothing.
+template <class State, std::size_t N>
+struct Dominators {
+  std::array<State, N> states{};
+  std::size_t count = 0;
+
+  void push_back(const State& s) { states[count++] = s; }
+  [[nodiscard]] const State* begin() const noexcept { return states.data(); }
+  [[nodiscard]] const State* end() const noexcept {
+    return states.data() + count;
+  }
+};
+
+/// Optional hook: `sp.dominators(s)` lists (as a Dominators) the states that
+/// *dominate* `s`.  The contract a space must keep for each listed state `d`:
+///   * `d != s`, and `is_goal(d) == is_goal(s)`;
+///   * for every successor `(t, c)` that `successors(s)` emits,
+///     `successors(d)` emits some `(t, c')` with `c' <= c` — so expanding
+///     `d` at `g(d) <= g(s)` already offered every state `s` would reach,
+///     at no greater cost.
+/// Ordered strategies then skip the successors of a popped state that has
+/// an interned, closed dominator with `g(d) <= g(s)`.  The skip is exact:
+/// none of the skipped edges would have lowered a `g`, so expansions,
+/// reopenings, the OPEN high-water mark, heap order and the returned path
+/// are those of the search without the hook; only `nodes_generated` falls.
+/// The rule composes: a dominator whose own successors were skipped had a
+/// closed dominator of its own, whose successors cover both.  Blind
+/// strategies ignore the hook (a depth-cut depth-first node is closed
+/// without generating anything, so "closed" would not mean "covered").
+template <class Space>
+concept HasDominators = requires(const Space& sp,
+                                 const typename Space::State& s) {
+  sp.dominators(s).begin();
+  sp.dominators(s).end();
 };
 
 template <class State>
@@ -147,6 +190,7 @@ class Searcher {
           node.depth >= opts.depth_limit) {
         continue;  // depth cutoff: do not expand below the limit
       }
+      if (!blind && dominated(space, cur)) continue;
 
       succ_.clear();
       space.successors(states_[cur], succ_);
@@ -234,21 +278,41 @@ class Searcher {
                                     slot_shift_);
   }
 
+  /// The slot holding \p s, or the empty slot where it would go.
+  [[nodiscard]] std::size_t slot_of(const State& s) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home_slot(s);
+    while (slots_[i] != kEmptySlot && !(states_[slots_[i]] == s)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
   /// Index of \p s, assigning the next one (insertion order) when new.
   std::uint32_t intern(const State& s) {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = home_slot(s);; i = (i + 1) & mask) {
-      const std::uint32_t idx = slots_[i];
-      if (idx == kEmptySlot) {
-        const auto fresh = static_cast<std::uint32_t>(states_.size());
-        states_.push_back(s);
-        nodes_.emplace_back();
-        slots_[i] = fresh;
-        if (2 * states_.size() > slots_.size()) grow_slots();
-        return fresh;
+    const std::size_t i = slot_of(s);
+    if (slots_[i] != kEmptySlot) return slots_[i];
+    const auto fresh = static_cast<std::uint32_t>(states_.size());
+    states_.push_back(s);
+    nodes_.emplace_back();
+    slots_[i] = fresh;
+    if (2 * states_.size() > slots_.size()) grow_slots();
+    return fresh;
+  }
+
+  /// True when a closed dominator of \p cur (see HasDominators) already
+  /// relaxed every edge \p cur would, at no greater g.
+  [[nodiscard]] bool dominated(const Space& space, std::uint32_t cur) const {
+    if constexpr (HasDominators<Space>) {
+      for (const State& d : space.dominators(states_[cur])) {
+        const std::uint32_t idx = slots_[slot_of(d)];  // never interning
+        if (idx != kEmptySlot && nodes_[idx].closed &&
+            nodes_[idx].g <= nodes_[cur].g) {
+          return true;
+        }
       }
-      if (states_[idx] == s) return idx;
     }
+    return false;
   }
 
   /// Doubles the slot table and re-places every interned state.

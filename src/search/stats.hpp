@@ -14,7 +14,10 @@ namespace gcr::search {
 struct SearchStats {
   /// Nodes removed from OPEN and expanded (successor generation performed).
   std::size_t nodes_expanded = 0;
-  /// Successor nodes generated (including duplicates later discarded).
+  /// Successor nodes generated (including duplicates later discarded),
+  /// counted after the space's and the searcher's exact pruning: a ray the
+  /// space does not cast, or the successors of a node skipped because a
+  /// closed dominator covers them (search::HasDominators), never count.
   std::size_t nodes_generated = 0;
   /// Nodes moved back from CLOSED to OPEN because a shorter path was found —
   /// the paper's re-pointing case.

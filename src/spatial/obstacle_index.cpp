@@ -146,6 +146,14 @@ bool ObstacleIndex::interior(const Point& p) const {
   });
 }
 
+bool ObstacleIndex::on_boundary(const Point& p) const {
+  if (buckets_.empty()) return false;
+  const auto& bucket = buckets_[bucket_y(p.y) * grid_x_ + bucket_x(p.x)];
+  return std::any_of(bucket.begin(), bucket.end(), [&](std::size_t i) {
+    return dead_[i] == 0 && obstacles_[i].on_boundary(p);
+  });
+}
+
 bool ObstacleIndex::routable(const Point& p) const {
   return boundary_.contains(p) && !interior(p);
 }

@@ -105,6 +105,10 @@ class ObstacleIndex {
   /// for any route point).
   [[nodiscard]] bool interior(const geom::Point& p) const;
 
+  /// True when \p p lies on the boundary of some live obstacle (a "hugging"
+  /// point).  Answered from \p p's bucket; tombstones do not count.
+  [[nodiscard]] bool on_boundary(const geom::Point& p) const;
+
   /// True when \p p is routable: inside the boundary and not interior to any
   /// obstacle.
   [[nodiscard]] bool routable(const geom::Point& p) const;

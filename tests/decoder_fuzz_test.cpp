@@ -6,7 +6,11 @@
 //     return field-for-field equal layouts; nothing but runtime_error
 //     escapes either;
 //   - the protocol framer: a byte stream fed whole, byte at a time and at
-//     random split points yields the same events and the same end of input.
+//     random split points yields the same events and the same end of input;
+//   - the verb table: mutated command lines through classify_command and
+//     every parse_* function throw nothing but std::runtime_error, and every
+//     message (and any echoed line) renders as one printable ERR line whose
+//     reason is at most 256 bytes.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +32,7 @@
 #include "layout/layout.hpp"
 #include "reference_layout_reader.hpp"
 #include "serve/frame_parser.hpp"
+#include "serve/protocol.hpp"
 #include "workload/netgen.hpp"
 #include "workload/rng.hpp"
 
@@ -613,6 +618,176 @@ TEST(FrameParserFuzz, EverySplitYieldsTheSameEvents) {
           << show(bytes);
       ASSERT_EQ(split.eof_clean, whole.eof_clean) << show(bytes);
     }
+  }
+}
+
+// ------------------------------------------------------------- verb table
+
+/// A well-formed line for every verb-table row: its keyword, its
+/// positional words and every knob with an in-range value.
+std::vector<std::string> verb_corpus() {
+  std::vector<std::string> out;
+  for (const serve::VerbSpec& v : serve::verb_table()) {
+    std::string line = v.name;
+    for (std::size_t a = 0; a < v.min_args; ++a) {
+      if (v.kind == serve::CommandKind::kLoad) {
+        line += " 12";
+      } else if (v.kind == serve::CommandKind::kGen) {
+        line += " standard";
+      } else {
+        line += " k" + std::to_string(a) + "f00d";
+      }
+    }
+    for (const serve::KnobSpec& k : v.knobs) {
+      if (k.reject_msg != nullptr) continue;
+      std::string value;
+      switch (k.type) {
+        case serve::KnobType::kCount:
+          value = std::to_string(k.lo + 1 <= k.hi ? k.lo + 1 : k.lo);
+          break;
+        case serve::KnobType::kDuration: value = "250"; break;
+        case serve::KnobType::kBool: value = "1"; break;
+        case serve::KnobType::kMode: value = "sequential"; break;
+        case serve::KnobType::kScale: value = "1.5"; break;
+        case serve::KnobType::kNets: value = "n1,n2"; break;
+      }
+      line += " " + std::string(k.key) + "=" + value;
+    }
+    out.push_back(line);
+  }
+  // Shapes the row-derived lines miss: knob edge values and separators.
+  for (const char* extra :
+       {"ROUTE k mode=independent threads=0 deadline_ms=86400000",
+        "ROUTE\tk\tnets=a", "  STATS  ", "TRACE n=256", "SVG k scale=64",
+        "SVG k scale=0.0625", "GEN padring seed=18446744073709551615 pads=256",
+        "OPTIMIZE k passes=1024 budget_ms=0", "LOAD 0", "HELLO", "QUIT"}) {
+    out.push_back(extra);
+  }
+  return out;
+}
+
+/// Asserts \p reason renders as one printable ERR line with the reason
+/// clamped to 256 bytes (plus "..." when cut).
+void expect_clean_err_frame(const std::string& reason,
+                            const std::string& line) {
+  constexpr std::size_t kMaxReason = 256;
+  const std::string frame = serve::format_err(reason);
+  ASSERT_EQ(frame.rfind("ERR ", 0), 0u) << show(line);
+  ASSERT_EQ(frame.find('\n'), frame.size() - 1) << show(line);
+  for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
+    const auto c = static_cast<unsigned char>(frame[i]);
+    ASSERT_TRUE(c >= 0x20 && c < 0x7f) << "byte " << i << "\n" << show(line);
+  }
+  const bool cut = reason.size() > kMaxReason;
+  EXPECT_EQ(frame.size(), 4 + std::min(reason.size(), kMaxReason) +
+                              (cut ? 3 : 0) + 1)
+      << show(line);
+}
+
+/// Runs \p parse on one input: it may return or throw std::runtime_error,
+/// whose message must make a clean ERR frame; anything else fails.
+template <typename Parse>
+void expect_parse_contained(Parse&& parse, const std::string& line) {
+  try {
+    (void)parse();
+  } catch (const std::runtime_error& e) {
+    expect_clean_err_frame(e.what(), line);
+  } catch (const std::exception& e) {
+    FAIL() << "leaked a non-runtime_error: " << e.what() << "\n" << show(line);
+  } catch (...) {
+    FAIL() << "leaked a non-std exception\n" << show(line);
+  }
+}
+
+/// One command line through classify_command and every parse_* function
+/// (each one, not just the one its keyword names: a mis-routed argument
+/// vector must fail as cleanly as a malformed one).
+void check_command(const std::string& line) {
+  serve::ClassifiedCommand cmd;
+  expect_parse_contained([&] { return cmd = serve::classify_command(line); },
+                         line);
+  const std::string& args = cmd.args;
+  expect_parse_contained([&] { return serve::parse_route_command(args); },
+                         line);
+  expect_parse_contained([&] { return serve::parse_reroute_command(args); },
+                         line);
+  expect_parse_contained([&] { return serve::parse_optimize_command(args); },
+                         line);
+  for (const serve::CommandKind kind :
+       {serve::CommandKind::kDetail, serve::CommandKind::kCongest,
+        serve::CommandKind::kVerify, serve::CommandKind::kSvg}) {
+    expect_parse_contained(
+        [&] { return serve::parse_stage_command(kind, args); }, line);
+  }
+  expect_parse_contained([&] { return serve::parse_gen_command(args); }, line);
+  for (const serve::CommandKind kind :
+       {serve::CommandKind::kPin, serve::CommandKind::kUnpin,
+        serve::CommandKind::kCommit, serve::CommandKind::kUncommit,
+        serve::CommandKind::kSave}) {
+    expect_parse_contained(
+        [&] { return serve::parse_pin_command(kind, args); }, line);
+  }
+  expect_parse_contained([&] { return serve::parse_trace_count(args); },
+                         line);
+  expect_parse_contained([&] { return serve::parse_load_count(line); }, line);
+  // The keyword echo of an unknown-command ERR, and a reason carrying the
+  // raw line, must be as clean as a parser's message.
+  expect_clean_err_frame("unknown command '" + cmd.keyword + "'", line);
+  expect_clean_err_frame(line, line);
+}
+
+TEST(VerbTableFuzz, CorpusParsesUnderItsOwnVerb) {
+  for (const std::string& line : verb_corpus()) {
+    const serve::ClassifiedCommand cmd = serve::classify_command(line);
+    ASSERT_NE(cmd.kind, serve::CommandKind::kUnknown) << line;
+    try {
+      switch (cmd.kind) {
+        case serve::CommandKind::kRoute:
+          (void)serve::parse_route_command(cmd.args);
+          break;
+        case serve::CommandKind::kReroute:
+          (void)serve::parse_reroute_command(cmd.args);
+          break;
+        case serve::CommandKind::kOptimize:
+          (void)serve::parse_optimize_command(cmd.args);
+          break;
+        case serve::CommandKind::kDetail:
+        case serve::CommandKind::kCongest:
+        case serve::CommandKind::kVerify:
+        case serve::CommandKind::kSvg:
+          (void)serve::parse_stage_command(cmd.kind, cmd.args);
+          break;
+        case serve::CommandKind::kGen:
+          (void)serve::parse_gen_command(cmd.args);
+          break;
+        case serve::CommandKind::kPin:
+        case serve::CommandKind::kUnpin:
+        case serve::CommandKind::kCommit:
+        case serve::CommandKind::kUncommit:
+        case serve::CommandKind::kSave:
+          (void)serve::parse_pin_command(cmd.kind, cmd.args);
+          break;
+        case serve::CommandKind::kTrace:
+          (void)serve::parse_trace_count(cmd.args);
+          break;
+        case serve::CommandKind::kLoad:
+          (void)serve::parse_load_count(line);
+          break;
+        default:
+          break;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << line << ": " << e.what();
+    }
+  }
+}
+
+TEST(VerbTableFuzz, MutatedCommandsFailCleanly) {
+  const std::vector<std::string> corpus = verb_corpus();
+  Mutator m(0x7e5b7ab1eull);
+  const int iters = test::fuzz_iters(2000);
+  for (int i = 0; i < iters && !HasFailure(); ++i) {
+    check_command(m.mutate(corpus[m.below(corpus.size())]));
   }
 }
 

@@ -264,10 +264,10 @@ TEST(CostModel, CompositeSumsPenalties) {
 TEST(CostModel, OnObstacleBoundaryHelper) {
   const spatial::ObstacleIndex idx(Rect{0, 0, 100, 100},
                                    {Rect{40, 40, 60, 60}});
-  EXPECT_TRUE(route::on_obstacle_boundary(idx, Point{40, 50}));
-  EXPECT_TRUE(route::on_obstacle_boundary(idx, Point{60, 60}));
-  EXPECT_FALSE(route::on_obstacle_boundary(idx, Point{50, 50}));  // interior
-  EXPECT_FALSE(route::on_obstacle_boundary(idx, Point{10, 10}));  // free
+  EXPECT_TRUE(idx.on_boundary(Point{40, 50}));
+  EXPECT_TRUE(idx.on_boundary(Point{60, 60}));
+  EXPECT_FALSE(idx.on_boundary(Point{50, 50}));  // interior
+  EXPECT_FALSE(idx.on_boundary(Point{10, 10}));  // free
 }
 
 // -------------------------------------------------------------- TrackGraph

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <map>
+#include <queue>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "search/searcher.hpp"
@@ -290,6 +295,187 @@ TEST(Searcher, ReusedSearcherCarriesNoStateBetweenRuns) {
       expect_same_result(got, want, c.what);
     }
   }
+}
+
+/// GraphSpace plus a dominators hook: a0 dominates a1 (same single edge).
+struct TwinSpace : GraphSpace {
+  bool hook = true;
+
+  [[nodiscard]] search::Dominators<std::string, 2> dominators(
+      const State& s) const {
+    search::Dominators<std::string, 2> out;
+    if (hook && s == "a1") out.push_back("a0");
+    return out;
+  }
+};
+
+/// Greedy pops a0 (h = 0) before a1 (h = 1), whatever their g: S->a0 costs
+/// \p to_a0, S->a1 costs 1, and both lead to T at cost 5, then T->G at 1.
+TwinSpace twins(geom::Cost to_a0) {
+  TwinSpace g;
+  g.edges["S"] = {{"a0", to_a0}, {"a1", 1}};
+  g.edges["a0"] = {{"T", 5}};
+  g.edges["a1"] = {{"T", 5}};
+  g.edges["T"] = {{"G", 1}};
+  g.goal = "G";
+  g.h = {{"S", 0}, {"a0", 0}, {"a1", 1}, {"T", 5}, {"G", 0}};
+  return g;
+}
+
+TEST(Searcher, ClosedDominatorSkipsOnlyAtNoGreaterCost) {
+  const SearchOptions greedy{.strategy = Strategy::kGreedy};
+  // a0 closed at g = 1 = g(a1): a1's edge to T is covered; skipping it
+  // saves one generated successor and nothing else.
+  TwinSpace tied = twins(1);
+  const auto skipped = search::find_path(tied, std::string("S"), greedy);
+  tied.hook = false;
+  const auto full = search::find_path(tied, std::string("S"), greedy);
+  EXPECT_EQ(skipped.cost, 7);
+  EXPECT_EQ(skipped.path, full.path);
+  EXPECT_EQ(skipped.stats.nodes_expanded, full.stats.nodes_expanded);
+  EXPECT_EQ(skipped.stats.nodes_generated + 1, full.stats.nodes_generated);
+  // a0 closed at g = 2 > g(a1) = 1: a1 reaches T more cheaply, so it must
+  // be expanded (T at 6, not 7).
+  TwinSpace dearer = twins(2);
+  const auto kept = search::find_path(dearer, std::string("S"), greedy);
+  dearer.hook = false;
+  const auto reference = search::find_path(dearer, std::string("S"), greedy);
+  EXPECT_EQ(kept.cost, 7);
+  EXPECT_EQ(kept.path, (std::vector<std::string>{"S", "a1", "T", "G"}));
+  EXPECT_EQ(kept.stats.nodes_generated, reference.stats.nodes_generated);
+}
+
+/// A random digraph whose states come in triples (3k, 3k+1, 3k+2): each
+/// later member's edges are a random subset of the previous member's, each
+/// cost raised by a random non-negative amount, and the three share goal
+/// status.  So 3k dominates 3k+1 and 3k+1 dominates 3k+2 in the sense of
+/// search::HasDominators; the hook names only the immediate predecessor,
+/// which makes 3k+2's skip rely on the rule composing.
+struct TripleGraph {
+  using State = int;
+
+  std::vector<std::vector<Successor<int>>> adj;
+  std::vector<geom::Cost> h;
+  std::vector<char> goal;
+  bool hook = true;
+
+  void successors(const State& s, std::vector<Successor<State>>& out) const {
+    out = adj[static_cast<std::size_t>(s)];
+  }
+  [[nodiscard]] geom::Cost heuristic(const State& s) const {
+    return h[static_cast<std::size_t>(s)];
+  }
+  [[nodiscard]] bool is_goal(const State& s) const {
+    return goal[static_cast<std::size_t>(s)] != 0;
+  }
+  [[nodiscard]] search::Dominators<int, 2> dominators(const State& s) const {
+    search::Dominators<int, 2> out;
+    if (hook && s % 3 != 0) out.push_back(s - 1);
+    return out;
+  }
+};
+
+TripleGraph triple_graph(std::uint64_t seed, int triples) {
+  std::mt19937_64 rng(seed);
+  const int n = 3 * triples;
+  std::uniform_int_distribution<int> node(0, n - 1);
+  std::uniform_int_distribution<geom::Cost> w(0, 9);
+  TripleGraph g;
+  g.adj.resize(static_cast<std::size_t>(n));
+  g.goal.assign(static_cast<std::size_t>(n), 0);
+  for (int k = 0; k < triples; ++k) {
+    auto& head = g.adj[static_cast<std::size_t>(3 * k)];
+    for (int e = 0, deg = 1 + static_cast<int>(rng() % 4); e < deg; ++e) {
+      head.push_back({node(rng), w(rng)});
+    }
+    for (int m = 1; m < 3; ++m) {
+      for (const auto& e : g.adj[static_cast<std::size_t>(3 * k + m - 1)]) {
+        if (rng() % 3 == 0) continue;
+        g.adj[static_cast<std::size_t>(3 * k + m)].push_back(
+            {e.state, e.cost + (rng() % 2 == 0 ? 0 : w(rng))});
+      }
+    }
+    if (rng() % 6 == 0) {
+      for (int m = 0; m < 3; ++m) g.goal[static_cast<std::size_t>(3 * k + m)] = 1;
+    }
+  }
+  // Admissible but inconsistent h (a random fraction of the true distance
+  // to a goal), so the runs reopen closed nodes too.
+  std::vector<std::vector<Successor<int>>> rev(static_cast<std::size_t>(n));
+  for (int u = 0; u < n; ++u) {
+    for (const auto& e : g.adj[static_cast<std::size_t>(u)]) {
+      rev[static_cast<std::size_t>(e.state)].push_back({u, e.cost});
+    }
+  }
+  std::vector<geom::Cost> dist(static_cast<std::size_t>(n), geom::kCostInf);
+  using Entry = std::pair<geom::Cost, int>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+  for (int u = 0; u < n; ++u) {
+    if (g.goal[static_cast<std::size_t>(u)] != 0) {
+      dist[static_cast<std::size_t>(u)] = 0;
+      pq.push({0, u});
+    }
+  }
+  while (!pq.empty()) {
+    const auto [d, u] = pq.top();
+    pq.pop();
+    if (d != dist[static_cast<std::size_t>(u)]) continue;
+    for (const auto& e : rev[static_cast<std::size_t>(u)]) {
+      geom::Cost& du = dist[static_cast<std::size_t>(e.state)];
+      if (d + e.cost < du) {
+        du = d + e.cost;
+        pq.push({du, e.state});
+      }
+    }
+  }
+  g.h.resize(static_cast<std::size_t>(n));
+  for (int u = 0; u < n; ++u) {
+    const geom::Cost d = dist[static_cast<std::size_t>(u)];
+    g.h[static_cast<std::size_t>(u)] =
+        d >= geom::kCostInf ? 0 : d * static_cast<geom::Cost>(rng() % 5) / 4;
+  }
+  return g;
+}
+
+TEST(Searcher, DominatorsHookChangesOnlyTheGeneratedCount) {
+  std::size_t with_hook = 0, without_hook = 0;
+  search::Searcher<TripleGraph> pruned, full;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    TripleGraph g = triple_graph(seed, 12 + static_cast<int>(seed % 20));
+    const int n = static_cast<int>(g.adj.size());
+    const std::vector<int> starts = {static_cast<int>(seed % n),
+                                     static_cast<int>((seed * 7) % n)};
+    for (const Strategy s :
+         {Strategy::kAStar, Strategy::kExhaustive, Strategy::kBestFirst,
+          Strategy::kGreedy, Strategy::kBreadthFirst, Strategy::kDepthFirst}) {
+      SearchOptions opts;
+      opts.strategy = s;
+      if (s == Strategy::kDepthFirst) opts.depth_limit = 1 + seed % 6;
+      if (seed % 5 == 0) opts.max_expansions = 1 + seed % 17;
+      g.hook = true;
+      const auto got = pruned.run(g, starts, opts);
+      g.hook = false;
+      const auto want = full.run(g, starts, opts);
+      const std::string what = "seed " + std::to_string(seed) + " " +
+                               std::string(search::to_string(s));
+      EXPECT_EQ(got.found, want.found) << what;
+      EXPECT_EQ(got.cost, want.cost) << what;
+      EXPECT_EQ(got.path, want.path) << what;
+      EXPECT_EQ(got.stats.nodes_expanded, want.stats.nodes_expanded) << what;
+      EXPECT_EQ(got.stats.nodes_reopened, want.stats.nodes_reopened) << what;
+      EXPECT_EQ(got.stats.max_open_size, want.stats.max_open_size) << what;
+      EXPECT_EQ(got.stats.aborted, want.stats.aborted) << what;
+      EXPECT_LE(got.stats.nodes_generated, want.stats.nodes_generated) << what;
+      if (s == Strategy::kBreadthFirst || s == Strategy::kDepthFirst) {
+        // Blind strategies ignore the hook.
+        EXPECT_EQ(got.stats.nodes_generated, want.stats.nodes_generated)
+            << what;
+      }
+      with_hook += got.stats.nodes_generated;
+      without_hook += want.stats.nodes_generated;
+    }
+  }
+  EXPECT_LT(with_hook, without_hook);  // the hook is not vacuous
 }
 
 TEST(SearchStats, Accumulate) {

@@ -764,10 +764,13 @@ TEST(FinalSave, PeriodicAutosaveSweepsHotPins) {
   // The sweep runs every second and snapshots pins it does NOT own (the
   // system bypass); the artifact is named by handle, ready for
   // --restore-dir.
+  // The count is bumped by the SAVE's completion, just after the file is
+  // published, so wait for both.
   const fs::path file = dir.path / pinned.handle;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  while (!fs::exists(file) && std::chrono::steady_clock::now() < deadline) {
+  while ((!fs::exists(file) || service.snapshot().pin_autosaves == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   ASSERT_TRUE(fs::exists(file)) << "autosave never wrote " << file;

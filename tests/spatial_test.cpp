@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <vector>
 
 #include "crossings.hpp"
 #include "spatial/escape_lines.hpp"
@@ -83,6 +85,60 @@ TEST(ObstacleIndex, SegmentBlockedMatchesPierces) {
       geom::Segment{Point{0, 40}, Point{100, 40}}));  // hugging
   EXPECT_FALSE(idx.segment_blocked(
       geom::Segment{Point{0, 10}, Point{100, 10}}));
+}
+
+TEST(ObstacleIndex, OnBoundaryIgnoresRemovedObstacles) {
+  // A ripped-up halo's rim is no longer a hugging point: the tombstoned
+  // index answers like one rebuilt without it, before and after compact.
+  spatial::ObstacleIndex idx(Rect{0, 0, 100, 100},
+                             {Rect{40, 40, 60, 60}, Rect{10, 10, 20, 20}});
+  ASSERT_TRUE(idx.on_boundary(Point{40, 50}));
+  ASSERT_TRUE(idx.remove(0));
+  const spatial::ObstacleIndex rebuilt(Rect{0, 0, 100, 100},
+                                       {Rect{10, 10, 20, 20}});
+  for (const Point p : {Point{40, 50}, Point{60, 60}, Point{50, 50},
+                        Point{10, 15}, Point{20, 20}, Point{15, 15}}) {
+    EXPECT_EQ(idx.on_boundary(p), rebuilt.on_boundary(p)) << p;
+  }
+  EXPECT_FALSE(idx.on_boundary(Point{40, 50}));
+  EXPECT_TRUE(idx.on_boundary(Point{10, 15}));
+  idx.compact();
+  for (const Point p : {Point{40, 50}, Point{60, 60}, Point{10, 15},
+                        Point{20, 20}, Point{15, 15}}) {
+    EXPECT_EQ(idx.on_boundary(p), rebuilt.on_boundary(p)) << p;
+  }
+}
+
+TEST(ObstacleIndex, OnBoundaryMatchesLinearScanOverLiveObstacles) {
+  std::mt19937_64 rng(17);
+  std::uniform_int_distribution<geom::Coord> pos(-8, 136);
+  std::uniform_int_distribution<geom::Coord> len(0, 32);
+  for (int round = 0; round < 20; ++round) {
+    // Rects may overlap and protrude past the boundary, like wire halos.
+    std::vector<Rect> rects;
+    for (int i = 0; i < 24; ++i) {
+      const geom::Coord x = pos(rng), y = pos(rng);
+      rects.push_back(Rect{x, y, x + len(rng), y + len(rng)});
+    }
+    spatial::ObstacleIndex idx(Rect{0, 0, 128, 128}, rects);
+    for (int i = 0; i < 8; ++i) {
+      idx.insert(Rect{Point{pos(rng), pos(rng)}, Point{pos(rng), pos(rng)}});
+    }
+    for (std::size_t i = 0; i < idx.size(); i += 3) idx.remove(i);
+    if (round % 2 == 1) idx.compact();
+    for (int q = 0; q < 400; ++q) {
+      // Snap half the queries onto an obstacle edge so hits are common.
+      Point p{pos(rng), pos(rng)};
+      const Rect& r = idx.obstacles()[static_cast<std::size_t>(q) %
+                                      idx.size()];
+      if (q % 2 == 0) p.x = q % 4 == 0 ? r.xlo : r.xhi;
+      bool want = false;
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        if (idx.alive(i) && idx.obstacles()[i].on_boundary(p)) want = true;
+      }
+      EXPECT_EQ(idx.on_boundary(p), want) << p << " round " << round;
+    }
+  }
 }
 
 TEST(ObstacleIndex, QueryFindsIntersectingObstacles) {
