@@ -178,6 +178,12 @@ Route GridlessRouter::route_set(const std::vector<Point>& sources,
     assert(obstacles_.routable(p) && "source must be routable");
     (void)p;
   }
+  // Every probe stays in the free space, so when no goal shares a
+  // component with any source the search could only exhaust its region.
+  if (obstacles_.components().separated(sources, targets)) {
+    out.stats.proved_unreachable = 1;
+    return out;
+  }
   const GridlessSpace space(obstacles_, lines_, targets, cost_,
                             opts.successors);
   return run_search(space, sources, opts);

@@ -126,7 +126,10 @@ class GridlessRouter {
 
   /// Multi-source, multi-target: the Steiner tree extension step.  The search
   /// starts simultaneously from every source (the connected set) and stops at
-  /// the first goal reached with minimal cost.
+  /// the first goal reached with minimal cost.  A connection whose goals all
+  /// lie outside every source's free-space component fails without a search
+  /// (`stats.proved_unreachable` = 1, nothing expanded): every probe stays
+  /// in the free space, so the search could not have found a path.
   [[nodiscard]] Route route_set(const std::vector<geom::Point>& sources,
                                 const std::vector<geom::Point>& targets,
                                 const RouteOptions& opts = {}) const;

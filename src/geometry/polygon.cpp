@@ -28,6 +28,87 @@ std::vector<Segment> OrthoPolygon::edges() const {
   return out;
 }
 
+namespace {
+
+/// True when two parallel edges share a point.  On one track, edges sorted
+/// by span start overlap iff some start lies at or before the furthest end
+/// seen so far on that track.
+bool parallel_edges_touch(std::vector<std::pair<Coord, Interval>>& edges) {
+  std::sort(edges.begin(), edges.end());
+  for (std::size_t i = 1; i < edges.size(); ++i) {
+    auto& [track, span] = edges[i];
+    const auto& [prev_track, prev_span] = edges[i - 1];
+    if (track != prev_track) continue;
+    if (span.lo <= prev_span.hi) return true;
+    span.hi = std::max(span.hi, prev_span.hi);  // carry the furthest end
+  }
+  return false;
+}
+
+/// Pairs (horizontal, vertical) of edges that share a point, counted by a
+/// sweep in x over a Fenwick tree of the live horizontal edges' tracks;
+/// stops once the count exceeds \p limit.
+std::size_t perpendicular_touches(
+    const std::vector<std::pair<Coord, Interval>>& horizontal,
+    const std::vector<std::pair<Coord, Interval>>& vertical,
+    std::size_t limit) {
+  std::vector<Coord> ys;
+  ys.reserve(horizontal.size());
+  for (const auto& h : horizontal) ys.push_back(h.first);
+  std::sort(ys.begin(), ys.end());
+  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
+  std::vector<long long> tree(ys.size() + 1, 0);  // Fenwick, 1-based
+  const auto add = [&](Coord y, int delta) {
+    auto i = static_cast<std::size_t>(
+                 std::lower_bound(ys.begin(), ys.end(), y) - ys.begin()) + 1;
+    for (; i < tree.size(); i += i & (0 - i)) tree[i] += delta;
+  };
+  const auto below = [&](std::size_t i) {  // live tracks among ys[0, i)
+    long long n = 0;
+    for (; i > 0; i -= i & (0 - i)) n += tree[i];
+    return static_cast<std::size_t>(n);
+  };
+
+  // Events at one x: horizontal edges starting there go live before the
+  // vertical edges there are counted, and those ending there leave after.
+  enum Kind { kStart, kQuery, kEnd };
+  struct Event {
+    Coord x;
+    Kind kind;
+    std::size_t idx;
+  };
+  std::vector<Event> events;
+  events.reserve(2 * horizontal.size() + vertical.size());
+  for (std::size_t i = 0; i < horizontal.size(); ++i) {
+    events.push_back({horizontal[i].second.lo, kStart, i});
+    events.push_back({horizontal[i].second.hi, kEnd, i});
+  }
+  for (std::size_t i = 0; i < vertical.size(); ++i) {
+    events.push_back({vertical[i].first, kQuery, i});
+  }
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    return a.x != b.x ? a.x < b.x : a.kind < b.kind;
+  });
+
+  std::size_t touches = 0;
+  for (const Event& e : events) {
+    if (e.kind == kQuery) {
+      const Interval& span = vertical[e.idx].second;
+      const auto lo = static_cast<std::size_t>(
+          std::lower_bound(ys.begin(), ys.end(), span.lo) - ys.begin());
+      const auto hi = static_cast<std::size_t>(
+          std::upper_bound(ys.begin(), ys.end(), span.hi) - ys.begin());
+      touches += below(hi) - below(lo);
+      if (touches > limit) return touches;
+    } else {
+      add(horizontal[e.idx].first, e.kind == kStart ? 1 : -1);
+    }
+  }
+  return touches;
+}
+
+}  // namespace
+
 bool OrthoPolygon::valid() const {
   const std::size_t n = vertices_.size();
   if (n < 4 || n % 2 != 0) return false;
@@ -45,20 +126,21 @@ bool OrthoPolygon::valid() const {
   // Distinct vertices.
   std::set<Point> uniq(vertices_.begin(), vertices_.end());
   if (uniq.size() != n) return false;
-  // No self-intersection: non-adjacent edges must not touch.
-  const auto es = edges();
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    for (std::size_t j = i + 1; j < es.size(); ++j) {
-      const bool adjacent = (j == i + 1) || (i == 0 && j == es.size() - 1);
-      if (adjacent) continue;
-      if (es[i].crossing(es[j]).has_value()) return false;
-      // Parallel overlap check.
-      if (es[i].axis() == es[j].axis() && es[i].track() == es[j].track() &&
-          es[i].span().overlaps(es[j].span())) {
-        return false;
-      }
-    }
+  // No self-intersection: non-adjacent edges must not touch.  Adjacent
+  // edges are perpendicular, so every two parallel edges are non-adjacent
+  // and must not share a point; and the perpendicular pairs that touch are
+  // exactly the n adjacent ones, which meet at their shared vertex.  Both
+  // tests are sweeps, O(n log n): a LOAD body is untrusted input.
+  std::vector<std::pair<Coord, Interval>> horizontal, vertical;
+  horizontal.reserve(n / 2);
+  vertical.reserve(n / 2);
+  for (const Segment& e : edges()) {
+    (e.horizontal() ? horizontal : vertical).emplace_back(e.track(), e.span());
   }
+  if (parallel_edges_touch(horizontal) || parallel_edges_touch(vertical)) {
+    return false;
+  }
+  if (perpendicular_touches(horizontal, vertical, n) != n) return false;
   // Adjacent edges are perpendicular and meet only at their shared vertex,
   // and no two other edges touch, so the boundary is a simple closed curve
   // and encloses a positive area.  area() is not consulted: its shoelace

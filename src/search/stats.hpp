@@ -26,6 +26,9 @@ struct SearchStats {
   std::size_t max_open_size = 0;
   /// True when the run hit the expansion cap before exhausting OPEN.
   bool aborted = false;
+  /// Connections proved unreachable without a search (no goal lies in the
+  /// free-space component of any source), so they expanded nothing.
+  std::size_t proved_unreachable = 0;
 
   SearchStats& operator+=(const SearchStats& o) {
     nodes_expanded += o.nodes_expanded;
@@ -33,6 +36,7 @@ struct SearchStats {
     nodes_reopened += o.nodes_reopened;
     if (o.max_open_size > max_open_size) max_open_size = o.max_open_size;
     aborted = aborted || o.aborted;
+    proved_unreachable += o.proved_unreachable;
     return *this;
   }
 };
@@ -42,6 +46,7 @@ inline std::ostream& operator<<(std::ostream& os, const SearchStats& s) {
             << " generated=" << s.nodes_generated
             << " reopened=" << s.nodes_reopened
             << " max_open=" << s.max_open_size
+            << " unreachable=" << s.proved_unreachable
             << (s.aborted ? " (aborted)" : "");
 }
 

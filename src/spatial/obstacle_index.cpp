@@ -36,6 +36,8 @@ ObstacleIndex::ObstacleIndex(Rect boundary, std::vector<Rect> obstacles)
     return obs[a].yhi > obs[b].yhi;
   });
   build_buckets();
+  components_.build(boundary_, obstacles_, dead_);
+  components_stale_ = false;
 }
 
 void ObstacleIndex::build_buckets() {
@@ -86,6 +88,7 @@ void ObstacleIndex::insert(const Rect& r) {
   // throws (allocation), the rect and its live flag are already consistent,
   // so a rebuild over `obstacles_` recovers a coherent index (the
   // environment's invalidation contract relies on this).
+  components_stale_ = true;
   obstacles_.push_back(r);
   dead_.push_back(0);
   const auto& obs = obstacles_;
@@ -119,6 +122,7 @@ bool ObstacleIndex::remove(std::size_t idx) noexcept {
   if (idx >= obstacles_.size() || dead_[idx] != 0) return false;
   dead_[idx] = 1;
   ++dead_count_;
+  components_stale_ = true;
   return true;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "geometry/geometry.hpp"
+#include "spatial/free_space.hpp"
 
 /// \file obstacle_index.hpp
 /// Spatial index over the blocking rectangles of a layout.
@@ -28,6 +29,11 @@
 /// records) renumber through the remap it returns.  Point/segment predicates
 /// are answered from a uniform bucket grid over the boundary rather than a
 /// linear scan, which keeps them fast as wire halos accumulate.
+///
+/// The index also owns the connected-component labels of the free space
+/// (`components`).  The constructor and `compact` build them; `insert` and
+/// `remove` only mark them stale, and the next `components()` call rebuilds
+/// them once for the whole batch of mutations, into the same arrays.
 
 namespace gcr::spatial {
 
@@ -51,8 +57,11 @@ struct RayHit {
 /// block routing; their boundaries are routable (paths may hug cells).  The
 /// routing boundary clips all rays.
 ///
-/// Read-only operations are safe to share across threads; `insert` requires
-/// exclusive access (sequential-mode routing mutates a private copy).
+/// Read-only operations are safe to share across threads; `insert` and
+/// `remove` require exclusive access (sequential-mode routing mutates a
+/// private copy).  The lazy label rebuild in `components()` runs under that
+/// same exclusive access: an index that is shared read-only was built or
+/// compacted and not mutated since, so its labels are never stale.
 class ObstacleIndex {
  public:
   ObstacleIndex() = default;
@@ -125,6 +134,17 @@ class ObstacleIndex {
   /// precedes the origin in the travel direction.
   [[nodiscard]] RayHit trace(const geom::Point& p, geom::Dir d) const;
 
+  /// Connected components of the free space (the routable points), current
+  /// for the live obstacles: rebuilt here first if an `insert` or `remove`
+  /// ran since the last build.
+  [[nodiscard]] const FreeSpaceComponents& components() const {
+    if (components_stale_) {
+      components_.build(boundary_, obstacles_, dead_);
+      components_stale_ = false;
+    }
+    return components_;
+  }
+
   /// Obstacles whose closed extent intersects \p query (for region analyses,
   /// e.g. congestion passage extraction).  Ascending obstacle index.
   [[nodiscard]] std::vector<std::size_t> query(const geom::Rect& query) const;
@@ -163,6 +183,10 @@ class ObstacleIndex {
   std::size_t grid_x_ = 1, grid_y_ = 1;
   geom::Coord cell_w_ = 1, cell_h_ = 1;
   std::vector<std::vector<std::size_t>> buckets_;
+
+  /// Free-space labels; stale after a mutation until `components()`.
+  mutable FreeSpaceComponents components_;
+  mutable bool components_stale_ = true;
 };
 
 }  // namespace gcr::spatial

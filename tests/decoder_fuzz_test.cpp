@@ -10,7 +10,12 @@
 //   - the verb table: mutated command lines through classify_command and
 //     every parse_* function throw nothing but std::runtime_error, and every
 //     message (and any echoed line) renders as one printable ERR line whose
-//     reason is at most 256 bytes.
+//     reason is at most 256 bytes;
+//   - orthogonal-polygon validity (the LOAD path's `poly` check): the sweep
+//     in OrthoPolygon::valid() against the pairwise oracle
+//     (tests/reference_polygon.hpp) on random valid and invalid polygons,
+//     touching and overlapping collinear edges included, and on polygons
+//     of over 20 000 vertices.
 
 #include <gtest/gtest.h>
 
@@ -28,9 +33,11 @@
 #include <vector>
 
 #include "fuzz_env.hpp"
+#include "geometry/polygon.hpp"
 #include "io/text_format.hpp"
 #include "layout/layout.hpp"
 #include "reference_layout_reader.hpp"
+#include "reference_polygon.hpp"
 #include "serve/frame_parser.hpp"
 #include "serve/protocol.hpp"
 #include "workload/netgen.hpp"
@@ -789,6 +796,123 @@ TEST(VerbTableFuzz, MutatedCommandsFailCleanly) {
   for (int i = 0; i < iters && !HasFailure(); ++i) {
     check_command(m.mutate(corpus[m.below(corpus.size())]));
   }
+}
+
+// ------------------------------------------------------------ polygon check
+
+using geom::Coord;
+using geom::Point;
+
+/// A skyline: columns of distinct heights standing on y = 0, one per
+/// x-interval [xs[i], xs[i+1]].  Always a valid orthogonal polygon with
+/// 2 * columns + 2 vertices.
+std::vector<Point> skyline(const std::vector<Coord>& xs,
+                           const std::vector<Coord>& heights) {
+  std::vector<Point> v{{xs.front(), 0}, {xs.front(), heights.front()}};
+  for (std::size_t i = 1; i < heights.size(); ++i) {
+    v.push_back({xs[i], heights[i - 1]});
+    v.push_back({xs[i], heights[i]});
+  }
+  v.push_back({xs.back(), heights.back()});
+  v.push_back({xs.back(), 0});
+  return v;
+}
+
+/// One random polygon.  Kinds: an alternating walk over a small coordinate
+/// range (mostly invalid: crossings, touches, repeated vertices, zero-length
+/// edges); a skyline (valid); a skyline with one edge shifted across its
+/// neighbours (touching and overlapping collinear edges).
+std::vector<Point> random_polygon(std::mt19937_64& rng) {
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(workload::bounded_u64(rng, n));
+  };
+  const std::size_t kind = below(3);
+  if (kind == 0) {
+    const std::size_t k = 2 + below(6);
+    std::vector<Coord> xs(k), ys(k);
+    for (Coord& x : xs) x = static_cast<Coord>(below(6));
+    for (Coord& y : ys) y = static_cast<Coord>(below(6));
+    std::vector<Point> v;
+    for (std::size_t i = 0; i < k; ++i) {
+      v.push_back({xs[i], ys[i]});
+      v.push_back({xs[(i + 1) % k], ys[i]});
+    }
+    return v;
+  }
+  const std::size_t columns = 1 + below(8);
+  std::vector<Coord> xs{static_cast<Coord>(below(3))};
+  for (std::size_t i = 0; i < columns; ++i) {
+    xs.push_back(xs.back() + 1 + static_cast<Coord>(below(3)));
+  }
+  std::vector<Coord> heights;
+  for (std::size_t i = 0; i < columns; ++i) {
+    Coord h = 1 + static_cast<Coord>(below(6));
+    if (!heights.empty() && h == heights.back()) h += 1;
+    heights.push_back(h);
+  }
+  std::vector<Point> v = skyline(xs, heights);
+  if (kind == 2) {
+    // Shift edge (i, i+1) along its normal; both endpoints move together,
+    // so the edges still alternate.
+    const std::size_t i = below(v.size());
+    const std::size_t j = (i + 1) % v.size();
+    const Coord by = static_cast<Coord>(below(7)) - 3;
+    if (v[i].x == v[j].x) {
+      v[i].x += by;
+      v[j].x += by;
+    } else {
+      v[i].y += by;
+      v[j].y += by;
+    }
+  }
+  return v;
+}
+
+TEST(PolygonValidityFuzz, SweepMatchesPairwiseOracle) {
+  std::mt19937_64 rng(0x9017e5ull);
+  const int iters = test::fuzz_iters(2000) * 4;
+  int valid = 0, invalid = 0;
+  for (int i = 0; i < iters; ++i) {
+    const geom::OrthoPolygon poly(random_polygon(rng));
+    const bool want = test::reference_valid(poly);
+    ASSERT_EQ(poly.valid(), want) << poly;
+    (want ? valid : invalid) += 1;
+  }
+  // Both verdicts are well represented.
+  EXPECT_GT(valid, iters / 10);
+  EXPECT_GT(invalid, iters / 10);
+}
+
+TEST(PolygonValidityFuzz, HugePolygonsGetTheOraclesVerdict) {
+  // 10 000 columns: 20 002 vertices, a sawtooth of alternating heights.
+  constexpr std::size_t kColumns = 10'000;
+  std::vector<Coord> xs, heights;
+  for (std::size_t i = 0; i <= kColumns; ++i) {
+    xs.push_back(static_cast<Coord>(2 * i));
+  }
+  for (std::size_t i = 0; i < kColumns; ++i) {
+    heights.push_back(i % 2 == 0 ? 10 : 20);
+  }
+  std::vector<Point> v = skyline(xs, heights);
+  ASSERT_GE(v.size(), 20'000u);
+  const geom::OrthoPolygon good(v);
+  EXPECT_TRUE(good.valid());
+  EXPECT_EQ(good.valid(), test::reference_valid(good));
+
+  // Drop a low column's top edge, halfway along, onto y = 0: it overlaps the
+  // closing bottom edge, its sides touch it, and the LOAD reader rejects it.
+  constexpr std::size_t kDrop = kColumns / 2;
+  v[2 * kDrop + 1].y = 0;
+  v[2 * kDrop + 2].y = 0;
+  const geom::OrthoPolygon bad(v);
+  EXPECT_FALSE(bad.valid());
+  EXPECT_EQ(bad.valid(), test::reference_valid(bad));
+  std::string text = "boundary 0 0 30000 30\npoly huge";
+  for (const Point& p : v) {
+    text += " " + std::to_string(p.x) + " " + std::to_string(p.y);
+  }
+  text += "\n";
+  EXPECT_THROW((void)io::read_layout_string(text), io::ParseError);
 }
 
 }  // namespace

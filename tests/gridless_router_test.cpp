@@ -110,6 +110,32 @@ TEST(GridlessRouter, MultiSourceMultiTargetPicksNearestPair) {
   EXPECT_EQ(r.points.back(), (Point{55, 55}));
 }
 
+TEST(GridlessRouter, WalledInGoalFailsWithoutSearch) {
+  // Four blocks ring the goal (the paper's "avoiding nets" case: halos of
+  // committed wires closing a pocket).  The free-space labels prove it
+  // unreachable, so the router skips the exhaustive search.
+  const Fixture f(Rect{0, 0, 100, 100},
+                  {Rect{30, 30, 70, 40}, Rect{30, 60, 70, 70},
+                   Rect{30, 35, 40, 65}, Rect{60, 35, 70, 65}});
+  const auto walled = f.go({10, 10}, {50, 50});
+  EXPECT_FALSE(walled.found);
+  EXPECT_EQ(walled.stats.proved_unreachable, 1u);
+  EXPECT_EQ(walled.stats.nodes_expanded, 0u);
+  EXPECT_EQ(walled.stats.nodes_generated, 0u);
+
+  // A goal on the ring's outer rim is reachable: searched, not skipped.
+  const auto rim = f.go({10, 10}, {50, 70});
+  ASSERT_TRUE(rim.found);
+  EXPECT_EQ(rim.stats.proved_unreachable, 0u);
+  EXPECT_GT(rim.stats.nodes_expanded, 0u);
+
+  // The counter sums like the others.
+  search::SearchStats total = walled.stats;
+  total += rim.stats;
+  total += walled.stats;
+  EXPECT_EQ(total.proved_unreachable, 2u);
+}
+
 TEST(GridlessRouter, ExpandsFarFewerNodesThanGrid) {
   const workload::PointQuery q = workload::figure1_layout();
   const spatial::ObstacleIndex index(q.layout.boundary(), q.layout.obstacles());
