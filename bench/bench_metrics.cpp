@@ -1,11 +1,11 @@
 // E12 — observability overhead: what the tracing/metrics layer costs.
 //
 // PR 9's instrumentation sits on every request's hot path, so this bench
-// pins down three costs: (1) Histogram::record — three relaxed fetch_adds —
-// against the mutexed LatencyWindow it replaced; (2) rendering the full
-// STATS body (histogram snapshots + percentile walks for every verb shard);
-// (3) the end-to-end ROUTE delta between trace=0 (spans stamped, nothing
-// rendered) and trace=1 (span breakdown appended to the response meta).
+// pins down three costs: (1) Histogram::record — three relaxed fetch_adds;
+// (2) rendering the full STATS body (histogram snapshots + percentile walks
+// for every verb shard); (3) the end-to-end ROUTE delta between trace=0
+// (spans stamped, nothing rendered) and trace=1 (span breakdown appended to
+// the response meta).
 //
 // The deterministic table prints the machine-independent contract first:
 // the exact STATS key inventory (service keys, and loop_* keys over a live
@@ -139,7 +139,6 @@ double median_ns_per_call(std::size_t reps, std::size_t iters, Fn&& fn) {
 
 struct OverheadReport {
   double hist_record_ns = 0;
-  double window_record_ns = 0;
   double stats_render_us = 0;
   double route_plain_us = 0;
   double route_traced_us = 0;
@@ -151,9 +150,6 @@ OverheadReport measure_overhead() {
   serve::Histogram hist;
   rep.hist_record_ns = median_ns_per_call(
       9, 1'000'000, [&](std::size_t i) { hist.record(i & 0xffff); });
-  serve::LatencyWindow window(1024);
-  rep.window_record_ns = median_ns_per_call(
-      9, 1'000'000, [&](std::size_t i) { window.record(i & 0xffff); });
 
   const std::string text = workload_text(25, 40, 105);
   serve::RoutingService::Options opts;
@@ -271,8 +267,6 @@ void print_table() {
   std::puts("record cost (median ns/sample, single thread):");
   std::printf("  Histogram::record   %8.1f ns  (3 relaxed fetch_adds)\n",
               rep.hist_record_ns);
-  std::printf("  LatencyWindow       %8.1f ns  (mutex + ring store)\n",
-              rep.window_record_ns);
   std::printf("STATS render: %.1f us (all %zu verb shards populated)\n",
               rep.stats_render_us, serve::kVerbKinds);
   const double delta_pct =
@@ -305,17 +299,6 @@ void BM_HistogramRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HistogramRecord)->ThreadRange(1, 8);
-
-void BM_LatencyWindowRecord(benchmark::State& state) {
-  static serve::LatencyWindow w(1024);
-  std::uint64_t v = 1;
-  for (auto _ : state) {
-    w.record(v);
-    v = (v * 2862933555777941757ull + 3037000493ull) & 0xffff;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LatencyWindowRecord)->ThreadRange(1, 8);
 
 void BM_HistogramSnapshotPercentiles(benchmark::State& state) {
   serve::Histogram h;

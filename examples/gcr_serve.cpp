@@ -1,11 +1,13 @@
 // gcr_serve — the routing daemon: speaks the framed line protocol of
 // serve/protocol.hpp over stdin/stdout (the pipe transport), over an
 // inherited descriptor (the socketpair transport), or — the multi-client
-// mode — over TCP via the epoll front-end (src/net/), all backed by one
-// persistent worker pool and a content-addressed layout-session cache.
-// Every transport runs the same framer and the same per-verb dispatcher
-// (serve::FrameParser, serve::dispatch), so a script answers with the same
-// bytes over a pipe as over TCP.
+// network mode — over TCP and unix sockets, all backed by one persistent
+// worker pool and a content-addressed layout-session cache.  Every
+// transport is served by the same epoll front-end (src/net/), framer and
+// per-verb dispatcher, so a script answers with the same bytes over a pipe
+// as over TCP.  A pipe or inherited descriptor is one connection whose
+// commands run one at a time; the daemon exits when it closes.  Linux
+// only: elsewhere the front-end's epoll stub fails at start.
 //
 //   $ gcr_serve [options]
 //     --workers N      routing worker threads (0 = one per hardware thread)
@@ -17,15 +19,16 @@
 //     --listen PORT    serve many concurrent TCP clients on 127.0.0.1:PORT
 //                      (0 = kernel-assigned; the bound port is printed as
 //                      "gcr_serve: listening on 127.0.0.1:<port>")
-//     --reactors N     TCP mode: N event-loop threads sharing the port via
-//                      SO_REUSEPORT (connection-affine; default 1)
+//     --reactors N     network mode: N event-loop threads sharing the port
+//                      via SO_REUSEPORT (connection-affine; default 1)
 //     --listen-unix P  also accept connections on unix socket path P
 //                      (same protocol; served by the first reactor)
-//     --max-conns N    TCP mode: per-reactor connection cap (default 256)
-//     --high-water N   TCP mode: per-connection outbound bytes past which
-//                      reads are suspended (slow-client backpressure)
-//     --hard-cap N     TCP mode: outbound bytes past which a slow client
-//                      is dropped
+//     --max-conns N    network mode: per-reactor connection cap
+//                      (default 256)
+//     --high-water N   per-connection outbound bytes past which reads are
+//                      suspended (slow-client backpressure)
+//     --hard-cap N     network mode: outbound bytes past which a slow
+//                      client is dropped (a pipe peer never is)
 //     --snapshot-dir D enable SAVE: pinned sessions serialize to D/<name>;
 //                      a graceful drain writes a final snapshot per
 //                      surviving pin after every loop quiesces
@@ -44,11 +47,11 @@
 // `REROUTE <session> nets=a,b` rips the named nets out of a full
 // sequential pass and re-routes them against the committed remainder
 // (incremental halo removal, no environment rebuild).  Cold LOADs build on
-// the worker pool, so in TCP mode one giant layout upload cannot stall the
-// other connections.  With --reactors N the kernel shards accepted
+// the worker pool, so in network mode one giant layout upload cannot stall
+// the other connections.  With --reactors N the kernel shards accepted
 // connections across N independent epoll loops; all of them feed one
 // worker pool through the fair queue, so responses are byte-identical to
-// the single-reactor build.  SIGINT/SIGTERM shut down
+// the single-reactor build.  In every mode SIGINT/SIGTERM shut down
 // gracefully: every listener closes, in-flight jobs drain and flush, and
 // the loop threads join as a barrier before the final pin snapshots are
 // written (a second signal force-closes lingering connections).
@@ -60,11 +63,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <iostream>
+#include <optional>
 
 #include "net/reactor_pool.hpp"
-#include "serve/fd_stream.hpp"
-#include "serve/protocol.hpp"
 #include "serve/routing_service.hpp"
 
 namespace {
@@ -176,8 +177,9 @@ int main(int argc, char** argv) {
 
   try {
     serve::RoutingService service(opts);
-
-    if (listen_port >= 0 || !lopts.unix_path.empty()) {
+    const bool network = listen_port >= 0 || !lopts.unix_path.empty();
+    std::optional<net::ReactorPool> pool;
+    if (network) {
       // --listen-unix alone still binds TCP (port 0 = kernel-assigned) so
       // the banner contract with spawners holds in every network mode.
       lopts.port = listen_port >= 0 ? static_cast<std::uint16_t>(listen_port)
@@ -185,54 +187,47 @@ int main(int argc, char** argv) {
       net::ReactorPoolOptions popts;
       popts.reactors = reactors;
       popts.loop = lopts;
-      net::ReactorPool pool(service, popts);
-      g_pool = &pool;
-      std::signal(SIGINT, on_shutdown_signal);
-      std::signal(SIGTERM, on_shutdown_signal);
-      std::signal(SIGPIPE, SIG_IGN);
+      pool.emplace(service, popts);
+    } else {
+      // stdin/stdout, or one inherited descriptor both ways.
+      const int in_fd = fd >= 0 ? static_cast<int>(fd) : 0;
+      const int out_fd = fd >= 0 ? static_cast<int>(fd) : 1;
+      pool.emplace(service, lopts, in_fd, out_fd);
+    }
+    g_pool = &*pool;
+    std::signal(SIGINT, on_shutdown_signal);
+    std::signal(SIGTERM, on_shutdown_signal);
+    std::signal(SIGPIPE, SIG_IGN);
+    if (network) {
       // The banner is the contract with spawners (gcr_loadgen --tcp, the CI
       // smoke job): parse the bound port from stdout when --listen 0.
       std::printf("gcr_serve: listening on 127.0.0.1:%u\n",
-                  static_cast<unsigned>(pool.port()));
+                  static_cast<unsigned>(pool->port()));
       std::fflush(stdout);
-      pool.run();  // returns once every reactor has drained (the barrier)
-      g_pool = nullptr;
-      // Only now — all loops quiesced, every in-flight pinned-session
-      // mutation finished or cancelled — write the final snapshots.
-      if (!opts.snapshot_dir.empty()) {
-        const std::size_t saved = service.final_save_pins();
-        if (saved > 0) {
-          std::fprintf(stderr, "gcr_serve: final save: %zu pin(s)\n", saved);
-        }
-      }
-      net::LoopStatsView total;
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        total.merge(net::snapshot_loop_stats(pool.loop(i).stats()));
-      }
-      std::fprintf(stderr,
-                   "gcr_serve: drained %zu reactor(s): %llu conns, "
-                   "%llu commands, %llu suspended, %llu dropped slow, "
-                   "%llu dropped error\n",
-                   pool.size(),
-                   static_cast<unsigned long long>(total.accepted),
-                   static_cast<unsigned long long>(total.commands),
-                   static_cast<unsigned long long>(total.reads_suspended),
-                   static_cast<unsigned long long>(total.dropped_slow),
-                   static_cast<unsigned long long>(total.dropped_error));
-      return 0;
     }
-
-    std::size_t frames = 0;
-    if (fd >= 0) {
-      serve::FdTransport transport(static_cast<int>(fd));
-      frames = serve::serve_connection(service, transport.in(),
-                                       transport.out());
-    } else {
-      std::ios::sync_with_stdio(false);
-      frames = serve::serve_connection(service, std::cin, std::cout);
+    pool->run();  // returns once every reactor has drained (the barrier)
+    g_pool = nullptr;
+    // Only now — all loops quiesced, every in-flight pinned-session
+    // mutation finished or cancelled — write the final snapshots.
+    if (!opts.snapshot_dir.empty()) {
+      const std::size_t saved = service.final_save_pins();
+      if (saved > 0) {
+        std::fprintf(stderr, "gcr_serve: final save: %zu pin(s)\n", saved);
+      }
     }
-    std::fprintf(stderr, "gcr_serve: connection closed after %zu frames\n",
-                 frames);
+    net::LoopStatsView total;
+    for (std::size_t i = 0; i < pool->size(); ++i) {
+      total.merge(net::snapshot_loop_stats(pool->loop(i).stats()));
+    }
+    std::fprintf(stderr,
+                 "gcr_serve: drained %zu reactor(s): %llu conns, "
+                 "%llu commands, %llu suspended, %llu dropped slow, "
+                 "%llu dropped error\n",
+                 pool->size(), static_cast<unsigned long long>(total.accepted),
+                 static_cast<unsigned long long>(total.commands),
+                 static_cast<unsigned long long>(total.reads_suspended),
+                 static_cast<unsigned long long>(total.dropped_slow),
+                 static_cast<unsigned long long>(total.dropped_error));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gcr_serve: fatal: %s\n", e.what());
     return 1;

@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -40,12 +41,36 @@ namespace gcr::net {
 
 class Connection {
  public:
+  /// An accepted socket: reads and writes go through \p fd, which the
+  /// connection closes when destroyed.
   Connection(ScopedFd fd, std::uint64_t id,
              const serve::FrameParser::Options& popts)
-      : fd_(std::move(fd)), id_(id), parser_(popts),
+      : socket_(std::move(fd)), read_fd_(socket_.get()), write_fd_(read_fd_),
+        write_is_socket_(true), id_(id), parser_(popts),
         cancel_(std::make_shared<std::atomic<bool>>(false)) {}
 
-  [[nodiscard]] int fd() const noexcept { return fd_.get(); }
+  /// An adopted descriptor pair — stdin/stdout, two pipes, or one
+  /// inherited socket passed twice.  Borrowed: non-blocking while the
+  /// connection lives, original flags restored after, never closed.
+  Connection(int read_fd, int write_fd, std::uint64_t id,
+             const serve::FrameParser::Options& popts)
+      : read_fd_(read_fd), write_fd_(write_fd),
+        write_is_socket_(is_socket(write_fd)), id_(id), parser_(popts),
+        cancel_(std::make_shared<std::atomic<bool>>(false)) {
+    read_scope_.emplace(read_fd);
+    if (split()) write_scope_.emplace(write_fd);
+  }
+
+  [[nodiscard]] int read_fd() const noexcept { return read_fd_; }
+  [[nodiscard]] int write_fd() const noexcept { return write_fd_; }
+  /// Reads and writes use different descriptors (an adopted pair).
+  [[nodiscard]] bool split() const noexcept { return read_fd_ != write_fd_; }
+  /// The descriptors stay open after the connection (adopted, not owned).
+  [[nodiscard]] bool borrowed() const noexcept { return !socket_; }
+  /// Writes go through send(MSG_NOSIGNAL); anything else uses write(2).
+  [[nodiscard]] bool write_is_socket() const noexcept {
+    return write_is_socket_;
+  }
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
   [[nodiscard]] serve::FrameParser& parser() noexcept { return parser_; }
   [[nodiscard]] const std::shared_ptr<std::atomic<bool>>& cancel_token()
@@ -129,6 +154,10 @@ class Connection {
   /// path must earn with this barrier.
   bool load_inflight = false;
   std::uint32_t registered_events = 0;  ///< epoll interest as last set
+  /// False when epoll refused the read descriptor (EPERM: a regular file).
+  /// It never blocks, so the loop reads it whenever reads are wanted; its
+  /// writes never meet EAGAIN, so EPOLLOUT is never armed for it either.
+  bool read_polled = true;
 
   /// Commands parsed but not yet dispatched: when one recv batch carries
   /// more (cheap, synchronously-answered) commands than the high-water
@@ -199,7 +228,14 @@ class Connection {
     }
   }
 
-  ScopedFd fd_;
+  ScopedFd socket_;  ///< empty for an adopted pair
+  int read_fd_;
+  int write_fd_;
+  bool write_is_socket_;
+  /// Adopted pairs only.  The write side is restored first, so a pair
+  /// sharing one file description (a terminal) ends with the read side's.
+  std::optional<NonblockingScope> read_scope_;
+  std::optional<NonblockingScope> write_scope_;
   std::uint64_t id_;
   serve::FrameParser parser_;
   std::shared_ptr<std::atomic<bool>> cancel_;

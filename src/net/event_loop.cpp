@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <mutex>
@@ -32,6 +33,10 @@ namespace {
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kMailboxTag = 1;
 constexpr std::uint64_t kUnixListenerTag = 2;
+/// Or'd into a connection id to tag an adopted pair's write descriptor,
+/// whose hangup means "reader gone" where the read side's means "input
+/// ended".
+constexpr std::uint64_t kWriteSide = std::uint64_t{1} << 63;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
@@ -109,26 +114,40 @@ struct EventLoop::Mailbox {
 #if GCR_NET_HAVE_EPOLL
 
 EventLoop::EventLoop(serve::RoutingService& service,
-                     const EventLoopOptions& opts)
+                     const EventLoopOptions& opts,
+                     std::optional<Listener> listener)
     : service_(service), opts_(opts),
       epoll_(::epoll_create1(EPOLL_CLOEXEC)),
-      listener_(opts.port, opts.reuse_port),
+      listener_(std::move(listener)),
       mailbox_(std::make_shared<Mailbox>()) {
   if (!epoll_) throw_errno("epoll_create1");
-
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerTag;
-  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, listener_.fd(), &ev) < 0) {
-    throw_errno("epoll_ctl(listener)");
-  }
-  listener_armed_ = true;
   ev.events = EPOLLIN;
   ev.data.u64 = kMailboxTag;
   if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, mailbox_->event_fd.get(),
                   &ev) < 0) {
     throw_errno("epoll_ctl(mailbox)");
   }
+  // Splice the loop's own health into the service's STATS body: clients
+  // see one coherent metrics page.  The render reads only atomics, so any
+  // thread may call stats_text() while the loop runs.  A ReactorPool
+  // member loop skips this — the pool renders all its loops through one
+  // hook instead.
+  if (opts_.register_stats) {
+    service_.set_extra_stats([this] { return render_loop_stats(); });
+  }
+}
+
+EventLoop::EventLoop(serve::RoutingService& service,
+                     const EventLoopOptions& opts)
+    : EventLoop(service, opts, Listener(opts.port, opts.reuse_port)) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kListenerTag;
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, listener_->fd(), &ev) < 0) {
+    throw_errno("epoll_ctl(listener)");
+  }
+  listener_armed_ = true;
   if (!opts_.unix_path.empty()) {
     // A second accept source on the same loop: unix-domain peers get the
     // same Connection/FrameParser/backpressure path as TCP peers — only
@@ -142,14 +161,28 @@ EventLoop::EventLoop(serve::RoutingService& service,
     }
     unix_listener_armed_ = true;
   }
-  // Splice the loop's own health into the service's STATS body: TCP
-  // clients see one coherent metrics page.  The render reads only atomics,
-  // so any thread may call stats_text() while the loop runs.  A
-  // ReactorPool member loop skips this — the pool renders all its loops
-  // through one hook instead.
-  if (opts_.register_stats) {
-    service_.set_extra_stats([this] { return render_loop_stats(); });
+}
+
+EventLoop::EventLoop(serve::RoutingService& service,
+                     const EventLoopOptions& opts, int read_fd, int write_fd)
+    : EventLoop(service, opts, std::nullopt) {
+  opts_.max_inflight = 1;
+  opts_.write_hard_cap = SIZE_MAX;
+  adopted_ = next_conn_id_++;
+  auto conn =
+      std::make_unique<Connection>(read_fd, write_fd, adopted_, opts_.parser);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = adopted_;
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, read_fd, &ev) < 0) {
+    // epoll refuses regular files; the loop reads those without waiting.
+    if (errno != EPERM) throw_errno("epoll_ctl(adopted descriptor)");
+    conn->read_polled = false;
   }
+  conn->registered_events = EPOLLIN;
+  conns_.emplace(adopted_, std::move(conn));
+  stats_.accepted.fetch_add(1, std::memory_order_relaxed);
+  stats_.connections.fetch_add(1, std::memory_order_relaxed);
 }
 
 EventLoop::~EventLoop() {
@@ -159,7 +192,9 @@ EventLoop::~EventLoop() {
   if (opts_.register_stats) service_.set_extra_stats({});
 }
 
-std::uint16_t EventLoop::port() const noexcept { return listener_.port(); }
+std::uint16_t EventLoop::port() const noexcept {
+  return listener_ ? listener_->port() : 0;
+}
 
 void EventLoop::stop() noexcept {
   stop_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -172,10 +207,18 @@ void EventLoop::run() {
     const int stops = stop_requests_.load(std::memory_order_relaxed);
     if (stops > 0 && !stopping_) begin_shutdown();
     if (stops >= 2) force_close_all();
-    if (stopping_ && conns_.empty()) return;
+    if ((stopping_ || !listener_) && conns_.empty()) return;
 
+    // An adopted regular file never reports readiness but never blocks
+    // either: while its reads are wanted, poll without sleeping and read it
+    // after the batch.
+    const auto adopted = conns_.find(adopted_);
+    const bool eager_read = adopted != conns_.end() &&
+                            !adopted->second->read_polled &&
+                            (adopted->second->registered_events & EPOLLIN);
     const int n = ::epoll_wait(epoll_.get(), events,
-                               static_cast<int>(std::size(events)), -1);
+                               static_cast<int>(std::size(events)),
+                               eager_read ? 0 : -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("epoll_wait");
@@ -187,7 +230,7 @@ void EventLoop::run() {
       const std::uint64_t tag = events[i].data.u64;
       const std::uint32_t flags = events[i].events;
       if (tag == kListenerTag) {
-        accept_ready(listener_);
+        accept_ready(*listener_);
         continue;
       }
       if (tag == kUnixListenerTag) {
@@ -200,18 +243,30 @@ void EventLoop::run() {
       }
       // A connection may have been closed by an earlier event in this same
       // batch (or by a completion); stale tags simply miss.
-      if (conns_.find(tag) == conns_.end()) continue;
-      if ((flags & (EPOLLHUP | EPOLLERR)) != 0 &&
-          (flags & EPOLLIN) == 0) {
-        // Pure error/hangup with nothing readable: the peer is gone.
+      const std::uint64_t id = tag & ~kWriteSide;
+      const auto it = conns_.find(id);
+      if (it == conns_.end()) continue;
+      const bool write_side = (tag & kWriteSide) != 0;
+      const bool hangup = (flags & (EPOLLHUP | EPOLLERR)) != 0;
+      // A pipe's read side hangs up once its writer is done, which only
+      // ends the input; the read sees the EOF.
+      if (hangup && (write_side || ((flags & EPOLLIN) == 0 &&
+                                    !it->second->split()))) {
+        // Pure error/hangup with nothing readable, or an output
+        // descriptor whose reader closed: the peer is gone.
         stats_.dropped_error.fetch_add(1, std::memory_order_relaxed);
-        close_connection(tag, /*drop=*/true);
+        close_connection(id, /*drop=*/true);
         continue;
       }
-      if ((flags & EPOLLIN) != 0) handle_readable(tag);
-      if (conns_.find(tag) != conns_.end() && (flags & EPOLLOUT) != 0) {
-        settle(tag);
+      if (!write_side && ((flags & EPOLLIN) != 0 || hangup)) {
+        handle_readable(id);
       }
+      if (conns_.find(id) != conns_.end() && (flags & EPOLLOUT) != 0) {
+        settle(id);
+      }
+    }
+    if (eager_read && conns_.find(adopted_) != conns_.end()) {
+      handle_readable(adopted_);
     }
     stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
     stats_.loop_lag.record(static_cast<std::uint64_t>(
@@ -239,7 +294,7 @@ void EventLoop::accept_ready(Listener& from) {
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = id;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, conn->fd(), &ev) < 0) {
+    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, conn->read_fd(), &ev) < 0) {
       continue;  // kernel refused; drop the socket
     }
     conn->registered_events = EPOLLIN;
@@ -282,7 +337,7 @@ void EventLoop::handle_readable(std::uint64_t id) {
   // connections, accepts, and the completion mailbox run.
   int rounds = 4;
   while (!conn.reads_suspended && !conn.eof && rounds-- > 0) {
-    const ssize_t r = ::recv(conn.fd(), buf, sizeof buf, 0);
+    const ssize_t r = ::read(conn.read_fd(), buf, sizeof buf);
     if (r > 0) {
       stats_.bytes_in.fetch_add(static_cast<std::uint64_t>(r),
                                 std::memory_order_relaxed);
@@ -397,8 +452,13 @@ void EventLoop::settle(std::uint64_t id) {
 
   for (;;) {
     while (conn.has_output()) {
-      const ssize_t w = ::send(conn.fd(), conn.out_data(), conn.out_size(),
-                               MSG_NOSIGNAL);
+      // send() keeps a vanished socket peer from raising SIGPIPE in
+      // whatever process embeds the loop.
+      const ssize_t w =
+          conn.write_is_socket()
+              ? ::send(conn.write_fd(), conn.out_data(), conn.out_size(),
+                       MSG_NOSIGNAL)
+              : ::write(conn.write_fd(), conn.out_data(), conn.out_size());
       if (w > 0) {
         stats_.bytes_out.fetch_add(static_cast<std::uint64_t>(w),
                                    std::memory_order_relaxed);
@@ -477,12 +537,37 @@ void EventLoop::update_interest(Connection& conn) {
   const std::uint32_t want = (conn.reads_suspended ? 0u : EPOLLIN) |
                              (conn.has_output() ? EPOLLOUT : 0u);
   if (want == conn.registered_events) return;
-  epoll_event ev{};
-  ev.events = want;
-  ev.data.u64 = conn.id();
-  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, conn.fd(), &ev) == 0) {
+  if (!conn.split()) {
+    epoll_event ev{};
+    ev.events = want;
+    ev.data.u64 = conn.id();
+    if (conn.read_polled &&
+        ::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, conn.read_fd(), &ev) < 0) {
+      return;
+    }
     conn.registered_events = want;
+    return;
   }
+  // An adopted pair: each descriptor sits in the epoll set only while its
+  // direction is wanted.  A pipe whose writer has gone reports EPOLLHUP
+  // whatever the interest mask, which would spin the loop for as long as
+  // reads are suspended.
+  const std::uint32_t changed = want ^ conn.registered_events;
+  epoll_event ev{};
+  if ((changed & EPOLLIN) != 0 && conn.read_polled) {
+    ev.events = EPOLLIN;
+    ev.data.u64 = conn.id();
+    ::epoll_ctl(epoll_.get(), (want & EPOLLIN) ? EPOLL_CTL_ADD : EPOLL_CTL_DEL,
+                conn.read_fd(), &ev);
+  }
+  if ((changed & EPOLLOUT) != 0) {
+    ev.events = EPOLLOUT;
+    ev.data.u64 = conn.id() | kWriteSide;
+    ::epoll_ctl(epoll_.get(),
+                (want & EPOLLOUT) ? EPOLL_CTL_ADD : EPOLL_CTL_DEL,
+                conn.write_fd(), &ev);
+  }
+  conn.registered_events = want;
 }
 
 void EventLoop::close_connection(std::uint64_t id, bool drop) {
@@ -498,7 +583,12 @@ void EventLoop::close_connection(std::uint64_t id, bool drop) {
   // During a drain, ownership is dropped but the sessions stay registered:
   // the shutdown path still owes each one a final SAVE.
   service_.release_pins(it->second->cancel_token(), /*preserve=*/stopping_);
-  // Closing the fd (ScopedFd dtor) deregisters it from epoll implicitly.
+  // Closing a socket (ScopedFd dtor) deregisters it from epoll implicitly;
+  // borrowed descriptors stay open, so they leave the set explicitly.
+  if (it->second->borrowed()) {
+    ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, it->second->read_fd(), nullptr);
+    ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, it->second->write_fd(), nullptr);
+  }
   conns_.erase(it);
   stats_.closed.fetch_add(1, std::memory_order_relaxed);
   stats_.connections.fetch_sub(1, std::memory_order_relaxed);
@@ -507,7 +597,7 @@ void EventLoop::close_connection(std::uint64_t id, bool drop) {
 void EventLoop::begin_shutdown() {
   stopping_ = true;
   if (listener_armed_) {
-    ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, listener_.fd(), nullptr);
+    ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, listener_->fd(), nullptr);
     listener_armed_ = false;
   }
   if (unix_listener_armed_) {
@@ -543,9 +633,13 @@ std::string EventLoop::render_loop_stats() const {
 
 EventLoop::EventLoop(serve::RoutingService& service,
                      const EventLoopOptions& opts)
-    : service_(service), opts_(opts), listener_(opts.port) {
+    : service_(service), opts_(opts) {
   throw std::runtime_error("gcr::net::EventLoop requires Linux epoll");
 }
+
+EventLoop::EventLoop(serve::RoutingService& service,
+                     const EventLoopOptions& opts, int, int)
+    : EventLoop(service, opts) {}
 
 EventLoop::~EventLoop() = default;
 std::uint16_t EventLoop::port() const noexcept { return 0; }

@@ -16,16 +16,17 @@
 #include "serve/trace.hpp"
 
 /// \file event_loop.hpp
-/// The asynchronous multi-client front-end: one thread, one epoll set, many
-/// TCP connections, all multiplexed onto the routing service's existing
-/// worker pool.
+/// The server's one front-end: one thread, one epoll set, many connections,
+/// all multiplexed onto the routing service's existing worker pool.  A loop
+/// either listens (TCP, optionally a unix socket too) or serves one adopted
+/// descriptor pair — stdin/stdout, two pipes, an inherited socket — with
+/// the same Connection, framer and dispatcher.
 ///
 /// Division of labour — the loop thread only ever does cheap things:
 ///   - accept connections and read whatever bytes are available;
 ///   - feed the per-connection FrameParser and hand each event to
-///     serve::dispatch, the per-verb handler the blocking front-end shares
-///     (ROUTE becomes a worker-pool job; STATS/resident LOAD/errors are
-///     answered inline);
+///     serve::dispatch, the per-verb handler (ROUTE becomes a worker-pool
+///     job; STATS/resident LOAD/errors are answered inline);
 ///   - flush write buffers and maintain epoll interest sets.
 /// Routing runs on the pool; a finished job's worker thread formats the
 /// response (the expensive route-dump rendering) and posts it to the
@@ -163,15 +164,29 @@ class EventLoop {
   /// loop does not serve until run().  Throws std::runtime_error when the
   /// port cannot be bound (and on non-Linux platforms, which lack epoll).
   EventLoop(serve::RoutingService& service, const EventLoopOptions& opts = {});
+
+  /// A loop with no listener that serves one adopted descriptor pair —
+  /// stdin/stdout, two pipes, or one inherited socket passed twice — as a
+  /// single connection; run() returns once it has closed and drained.  The
+  /// descriptors are borrowed (see Connection).  Commands run one at a
+  /// time, as a pipe client expects: `max_inflight` is 1, so every
+  /// handed-off command parks the ones behind it, and `write_hard_cap` is
+  /// lifted, because with one command in flight the backlog stays within
+  /// `write_high_water` plus one response.  Descriptors epoll refuses
+  /// (regular files) are read and written without waiting.
+  EventLoop(serve::RoutingService& service, const EventLoopOptions& opts,
+            int read_fd, int write_fd);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// The bound port — what to advertise when options said 0.
+  /// The bound port — what to advertise when options said 0; 0 without a
+  /// listener.
   [[nodiscard]] std::uint16_t port() const noexcept;
 
-  /// Serves until stop().  Call from exactly one thread.
+  /// Serves until stop() — or, without a listener, until the adopted
+  /// connection closes.  Call from exactly one thread.
   void run();
 
   /// Requests shutdown; async-signal-safe, callable from any thread or a
@@ -182,6 +197,11 @@ class EventLoop {
 
  private:
   struct Mailbox;  ///< completion queue + wakeup eventfd (in the .cpp)
+
+  /// The part both public constructors share: epoll set, mailbox, and the
+  /// stats hook.
+  EventLoop(serve::RoutingService& service, const EventLoopOptions& opts,
+            std::optional<Listener> listener);
 
   void accept_ready(Listener& from);
   void drain_mailbox();
@@ -212,7 +232,7 @@ class EventLoop {
   EventLoopOptions opts_;
   EventLoopStats stats_;
   ScopedFd epoll_;
-  Listener listener_;
+  std::optional<Listener> listener_;       ///< empty: an adopted pair
   std::optional<Listener> unix_listener_;  ///< --listen-unix, loop 0 only
   std::shared_ptr<Mailbox> mailbox_;
   std::atomic<int> stop_requests_{0};
@@ -221,6 +241,8 @@ class EventLoop {
   bool unix_listener_armed_ = false;
   /// 0 = TCP listener tag, 1 = mailbox tag, 2 = unix listener tag.
   std::uint64_t next_conn_id_ = 3;
+  /// The adopted pair's connection id (0 = none).
+  std::uint64_t adopted_ = 0;
   std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
 };
 

@@ -35,6 +35,17 @@ ReactorPool::ReactorPool(serve::RoutingService& service,
   service_.set_extra_stats([this] { return render_stats(); });
 }
 
+ReactorPool::ReactorPool(serve::RoutingService& service,
+                         const EventLoopOptions& loop, int read_fd,
+                         int write_fd)
+    : service_(service) {
+  EventLoopOptions lo = loop;
+  lo.register_stats = false;
+  loops_.push_back(
+      std::make_unique<EventLoop>(service_, lo, read_fd, write_fd));
+  service_.set_extra_stats([this] { return render_stats(); });
+}
+
 ReactorPool::~ReactorPool() { service_.set_extra_stats({}); }
 
 std::uint16_t ReactorPool::port() const noexcept { return loops_[0]->port(); }

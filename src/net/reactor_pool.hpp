@@ -50,12 +50,21 @@ class ReactorPool {
   /// unusable); loops do not serve until run().
   ReactorPool(serve::RoutingService& service,
               const ReactorPoolOptions& opts = {});
+
+  /// One listener-less loop serving the adopted descriptor pair
+  /// \p read_fd / \p write_fd (see EventLoop's descriptor constructor):
+  /// how the daemon serves stdin/stdout or an inherited socket with the
+  /// same drain, stop and stats as its network mode.  run() returns once
+  /// that connection has closed.
+  ReactorPool(serve::RoutingService& service, const EventLoopOptions& loop,
+              int read_fd, int write_fd);
   ~ReactorPool();
 
   ReactorPool(const ReactorPool&) = delete;
   ReactorPool& operator=(const ReactorPool&) = delete;
 
-  /// The shared bound port — what to advertise when options said 0.
+  /// The shared bound port — what to advertise when options said 0 (0 for
+  /// an adopted pair).
   [[nodiscard]] std::uint16_t port() const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return loops_.size(); }
   [[nodiscard]] EventLoop& loop(std::size_t i) { return *loops_[i]; }

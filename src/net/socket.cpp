@@ -11,6 +11,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 #define GCR_NET_HAVE_POSIX 1
@@ -40,6 +41,20 @@ void set_nonblocking(int fd) {
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     throw_errno("fcntl(O_NONBLOCK)");
   }
+}
+
+NonblockingScope::NonblockingScope(int fd)
+    : fd_(fd), flags_(::fcntl(fd, F_GETFL, 0)) {
+  if (flags_ < 0 || ::fcntl(fd, F_SETFL, flags_ | O_NONBLOCK) < 0) {
+    throw_errno("fcntl(O_NONBLOCK) on descriptor " + std::to_string(fd));
+  }
+}
+
+NonblockingScope::~NonblockingScope() { ::fcntl(fd_, F_SETFL, flags_); }
+
+bool is_socket(int fd) noexcept {
+  struct stat st {};
+  return ::fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode);
 }
 
 namespace {
@@ -201,6 +216,14 @@ void ScopedFd::reset(int fd) noexcept { fd_ = fd; }
 void set_nonblocking(int) {
   throw std::runtime_error("gcr::net requires a POSIX platform");
 }
+
+NonblockingScope::NonblockingScope(int fd) : fd_(fd), flags_(0) {
+  throw std::runtime_error("gcr::net requires a POSIX platform");
+}
+
+NonblockingScope::~NonblockingScope() = default;
+
+bool is_socket(int) noexcept { return false; }
 
 Listener::Listener(std::uint16_t, bool) {
   throw std::runtime_error("gcr::net requires a POSIX platform");

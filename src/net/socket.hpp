@@ -43,6 +43,26 @@ class ScopedFd {
 /// Puts \p fd into non-blocking mode; throws std::runtime_error on failure.
 void set_nonblocking(int fd);
 
+/// Holds a borrowed descriptor in non-blocking mode for its lifetime, then
+/// restores the descriptor's original status flags.  The flags live on the
+/// open file description, which an inherited pipe or a terminal shares
+/// with the parent process, so they must not leak past the borrow.  Never
+/// closes the descriptor.  Throws std::runtime_error when \p fd is unusable.
+class NonblockingScope {
+ public:
+  explicit NonblockingScope(int fd);
+  ~NonblockingScope();
+  NonblockingScope(const NonblockingScope&) = delete;
+  NonblockingScope& operator=(const NonblockingScope&) = delete;
+
+ private:
+  int fd_;
+  int flags_;
+};
+
+/// True when \p fd is a socket (send() with MSG_NOSIGNAL applies).
+[[nodiscard]] bool is_socket(int fd) noexcept;
+
 /// A listening socket — the accept side of the epoll front-end.  Either a
 /// loopback TCP socket (non-blocking, SO_REUSEADDR, optionally
 /// SO_REUSEPORT for multi-reactor sharding) or a unix-domain socket bound

@@ -13,16 +13,16 @@
 #include <vector>
 
 /// \file fair_queue.hpp
-/// The fair successor to BoundedQueue at the service's admission stage:
-/// jobs are keyed (by session, pin handle, or load identity) into per-key
-/// shards and dequeued round-robin across shards (deficit round-robin with
-/// a quantum of one job), so a session saturating the service with work no
+/// The bounded, fair admission stage of the routing service: producers are
+/// the front-end turning protocol frames into jobs, consumers are the
+/// persistent worker pool.  Jobs are keyed (by session, pin handle, or load
+/// identity) into per-key shards and dequeued round-robin across shards
+/// (deficit round-robin with a quantum of one job), so a session saturating the service with work no
 /// longer starves every other session behind it in a single FIFO — each
 /// live shard gets one dequeue per ring round regardless of how deep its
 /// neighbors are.
 ///
-/// What is preserved from BoundedQueue, because the service's correctness
-/// leans on it:
+/// What the service's correctness leans on:
 ///   - *per-key* FIFO: one shard is one deque, so a pin handle's ticket
 ///     chain and a session's pipelined commands still dequeue in admission
 ///     order (global cross-key FIFO is exactly what fairness gives up);

@@ -6,11 +6,12 @@
 #include <streambuf>
 
 /// \file fd_stream.hpp
-/// Minimal iostream adapters over a POSIX file descriptor, so the protocol
-/// loop (which speaks std::istream/std::ostream) can serve any byte pipe:
-/// stdin/stdout, a pipe pair, or one end of a socketpair.  The daemon and
-/// the load generator both build on this instead of duplicating read/write
-/// loops.  POSIX-only; on other platforms construction throws.
+/// Minimal iostream adapters over a POSIX file descriptor: the client side
+/// of the protocol.  The load generator, the serve benches and the network
+/// tests read and write frames through them over any byte pipe — a pipe
+/// pair, one end of a socketpair, or a TCP socket.  The server does not use
+/// them; its one front-end is the epoll loop (src/net/).  POSIX-only; on
+/// other platforms construction throws.
 
 namespace gcr::serve {
 

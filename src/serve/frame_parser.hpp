@@ -6,12 +6,10 @@
 
 /// \file frame_parser.hpp
 /// The protocol's one framer: bytes go in as they arrive, complete protocol
-/// commands come out.  Both front-ends feed it — the epoll loop with
-/// whatever a non-blocking recv() returned, serve_connection with whatever
-/// its istream had buffered — so neither ever waits for "one line" or "N
-/// body bytes"; the parser is a state machine over the grammar (command
-/// line, optional byte-counted LOAD body) that holds partial input between
-/// feed() calls.
+/// commands come out.  The epoll loop feeds it whatever a non-blocking
+/// read() returned, so it never waits for "one line" or "N body bytes";
+/// the parser is a state machine over the grammar (command line, optional
+/// byte-counted LOAD body) that holds partial input between feed() calls.
 ///
 /// Hardening rules:
 ///   - a command line longer than max_line is discarded to its terminating

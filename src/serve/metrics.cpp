@@ -1,36 +1,8 @@
 #include "serve/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace gcr::serve {
-
-std::uint64_t LatencyWindow::percentile(double q) const {
-  return percentiles({q}).front();
-}
-
-std::vector<std::uint64_t> LatencyWindow::percentiles(
-    const std::vector<double>& qs) const {
-  std::vector<std::uint64_t> sorted;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    sorted = samples_;
-  }
-  std::vector<std::uint64_t> out(qs.size(), 0);
-  if (sorted.empty()) return out;
-  // One sort serves every quantile: the copy happens once (above, under the
-  // mutex) and each query is an O(1) rank lookup.
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const double q = std::clamp(qs[i], 0.0, 100.0);
-    // Nearest-rank: the smallest sample with at least q% of samples <= it.
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(q / 100.0 * static_cast<double>(sorted.size())));
-    out[i] = sorted[rank == 0 ? 0 : rank - 1];
-  }
-  return out;
-}
 
 std::string MetricsSnapshot::to_text() const {
   std::ostringstream os;

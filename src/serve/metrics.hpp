@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -15,56 +14,8 @@
 /// histograms, rendered as the STATS response body.  Counters and histogram
 /// buckets are lock-free atomics (touched on every request); percentile
 /// queries — rare, operator driven — walk a bucket snapshot.
-///
-/// LatencyWindow (the original exact-sample mutexed ring) is retained for
-/// offline consumers and differential tests, but is no longer on the
-/// service hot path.
 
 namespace gcr::serve {
-
-/// Sliding window over the most recent `capacity` latency samples
-/// (microseconds).  A ring buffer rather than a full history so a soak run
-/// cannot grow memory without bound; percentiles therefore describe recent
-/// traffic, which is what a load shedder or dashboard wants anyway.
-class LatencyWindow {
- public:
-  explicit LatencyWindow(std::size_t capacity = 4096)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  void record(std::uint64_t micros) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (samples_.size() < capacity_) {
-      samples_.push_back(micros);
-    } else {
-      samples_[next_] = micros;
-    }
-    next_ = (next_ + 1) % capacity_;
-    ++count_;
-  }
-
-  /// \p q in [0, 100].  Nearest-rank percentile over the window; 0 when no
-  /// samples have been recorded.
-  [[nodiscard]] std::uint64_t percentile(double q) const;
-
-  /// All requested percentiles from ONE snapshot of the window: the samples
-  /// are copied (under the mutex) and sorted once, and every quantile is
-  /// ranked against that single sorted copy — a multi-quantile caller no
-  /// longer pays capacity·log(capacity) per quantile.
-  [[nodiscard]] std::vector<std::uint64_t> percentiles(
-      const std::vector<double>& qs) const;
-
-  [[nodiscard]] std::uint64_t total_recorded() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::vector<std::uint64_t> samples_;
-  std::size_t next_ = 0;
-  std::uint64_t count_ = 0;
-};
 
 /// Aggregate counters for one RoutingService instance.
 struct ServiceMetrics {

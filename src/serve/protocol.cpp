@@ -1,10 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <istream>
-#include <mutex>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -1000,99 +996,6 @@ void dispatch(RoutingService& service, FrameParser::Event& ev,
     return;
   }
   responder.answer(format_err("unknown command '" + cmd.keyword + "'"));
-}
-
-namespace {
-
-/// serve_connection's Responder.  Frames are written straight to the
-/// output stream by whichever thread produced them, while the loop parks
-/// in await() until the dispatched command's final frame is out — so the
-/// stream has one writer at a time, and every command is its own barrier.
-class StreamResponder final : public Responder {
- public:
-  explicit StreamResponder(std::ostream& out) : out_(out) {}
-
-  [[nodiscard]] const std::shared_ptr<std::atomic<bool>>& owner()
-      const override {
-    return owner_;
-  }
-  void answer(std::string frame) override { write(frame, /*final=*/true); }
-  ReplySink hand_off(bool /*barrier*/) override {
-    return [this](std::string text, bool final) { write(text, final); };
-  }
-  void close_after() override { closing_ = true; }
-
-  /// Parks until the dispatched command's final frame is written.  Returns
-  /// false once the connection must close.
-  bool await() {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return done_; });
-    done_ = false;
-    return !closing_;
-  }
-
- private:
-  void write(const std::string& text, bool final) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    out_ << text;
-    out_.flush();
-    if (final) {
-      done_ = true;
-      done_cv_.notify_one();
-    }
-  }
-
-  std::ostream& out_;
-  /// This connection's identity: gates pin ownership and is what the
-  /// exit-path auto-release keys on.  (Commands run one at a time and are
-  /// never cancelled, so the flag itself is never set.)
-  const std::shared_ptr<std::atomic<bool>> owner_ =
-      std::make_shared<std::atomic<bool>>(false);
-  std::mutex mu_;
-  std::condition_variable done_cv_;
-  bool done_ = false;
-  bool closing_ = false;
-};
-
-/// Reads whatever \p in can supply without waiting for a full buffer: it
-/// blocks only while nothing is buffered.  Returns 0 at end of input.
-std::size_t read_available(std::istream& in, char* buf, std::size_t cap) {
-  std::streambuf& sb = *in.rdbuf();
-  if (sb.sgetc() == std::streambuf::traits_type::eof()) return 0;
-  const std::streamsize avail = std::clamp<std::streamsize>(
-      sb.in_avail(), 1, static_cast<std::streamsize>(cap));
-  return static_cast<std::size_t>(sb.sgetn(buf, avail));
-}
-
-}  // namespace
-
-std::size_t serve_connection(RoutingService& service, std::istream& in,
-                             std::ostream& out) {
-  StreamResponder responder(out);
-  FrameParser parser;
-  std::vector<FrameParser::Event> events;
-  char buf[64 * 1024];
-  std::size_t frames = 0;
-  for (bool more = true; more;) {
-    events.clear();
-    const std::size_t n = read_available(in, buf, sizeof buf);
-    if (n > 0) {
-      more = parser.feed(buf, n, events);
-    } else {
-      parser.finish_eof(events);
-      more = false;
-    }
-    for (FrameParser::Event& ev : events) {
-      dispatch(service, ev, responder);
-      ++frames;
-      if (!responder.await()) {
-        more = false;
-        break;
-      }
-    }
-  }
-  service.release_pins(responder.owner());
-  return frames;
 }
 
 }  // namespace gcr::serve

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,8 +122,8 @@
 /// Progress lines carry no body and are always followed by exactly one
 /// terminating `OK`/`ERR` frame, so a client reads lines until the status
 /// line arrives — within one response the wirelength and overflow values
-/// are non-increasing (the engine never lets a pass regress).  On the
-/// event-driven front-end the lines still respect pipelined request order:
+/// are non-increasing (the engine never lets a pass regress).  On a
+/// pipelining connection the lines still respect request order:
 /// they are sequenced like any response and cannot interleave into an
 /// earlier command's reply.
 ///
@@ -196,10 +195,10 @@
 /// function, and the HELLO capability list are all views of that single
 /// table, and a new verb is one row plus a case in dispatch().
 ///
-/// Both front-ends — serve_connection below and the epoll loop (src/net/)
-/// — frame bytes with the one FrameParser and hand every event to the one
+/// The front-end — the epoll loop (src/net/), for sockets and pipes alike —
+/// frames bytes with the one FrameParser and hands every event to the one
 /// dispatch(), which does all per-verb work and answers through the
-/// front-end's Responder.  The front-ends own only transport: where a
+/// connection's Responder.  The front-end owns only transport: where a
 /// frame is written, how a pipelined connection keeps responses in order,
 /// and when it closes.
 
@@ -215,7 +214,7 @@ inline constexpr unsigned long long kMaxDeadlineMs = 86'400'000;
 /// uniform key=value response metas, session lifecycle (PIN family).
 inline constexpr unsigned kProtocolVersion = 2;
 
-/// The command keywords, classified once for both front-ends.
+/// The command keywords, classified once for the front-end.
 enum class CommandKind {
   kBlank,    ///< empty / whitespace-only keep-alive line
   kQuit,
@@ -430,7 +429,7 @@ struct GenCommand {
 /// exactly once with the final frame (final=true).
 using ReplySink = std::function<void(std::string text, bool final)>;
 
-/// A front-end's half of dispatch(): how one command's answer reaches its
+/// The front-end's half of dispatch(): how one command's answer reaches its
 /// connection.  dispatch() answers every event exactly once — either inline
 /// through answer(), or through the sink hand_off() returned.
 class Responder {
@@ -454,7 +453,7 @@ class Responder {
   ~Responder() = default;
 };
 
-/// The single per-verb handler both front-ends call: answers one framer
+/// The single per-verb handler the front-end calls: answers one framer
 /// event.  Framing errors and malformed command lines answer ERR (the
 /// connection continues, except after a fatal framing error); everything
 /// else is classified, parsed through the verb table into a service
@@ -463,18 +462,5 @@ class Responder {
 /// body out of \p ev.
 void dispatch(RoutingService& service, FrameParser::Event& ev,
               Responder& responder);
-
-/// Serves one connection: reads command frames from \p in, writes response
-/// frames to \p out, until QUIT, end of input, or an unrecoverable framing
-/// error (a LOAD whose body ends early).  Malformed *command lines* get an
-/// ERR response and the connection continues — one bad request must not
-/// take down a pipelined client.  Bytes go through the FrameParser as the
-/// stream makes them available; each event is dispatched and its final
-/// frame awaited before the next, so commands run one at a time.  The
-/// connection gets a fresh identity token; pins it acquires are released
-/// when the loop exits, whatever the exit path.  Returns the number of
-/// frames served.
-std::size_t serve_connection(RoutingService& service, std::istream& in,
-                             std::ostream& out);
 
 }  // namespace gcr::serve

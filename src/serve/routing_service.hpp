@@ -91,8 +91,8 @@ struct RouteRequest {
   ///    reroute engine runs over the whole netlist.  Its deadline and cancel
   ///    come from the fields below and are honored at pass boundaries too —
   ///    expiry mid-run returns the best routing so far rather than an error.
-  ///    `progress` runs on the worker after every pass (the front-ends
-  ///    stream each call as a `PASS` line); it must not block or throw.
+  ///    `progress` runs on the worker after every pass (the front-end
+  ///    streams each call as a `PASS` line); it must not block or throw.
   ///  - The pipeline stages (DETAIL/CONGEST/VERIFY/SVG) run against the
   ///    session's committed routes instead of routing.  A session with none
   ///    first runs a default full sequential pass (deterministic) and
@@ -278,7 +278,7 @@ class RoutingService {
 
   /// Offloads a LOAD — layout parse, validation, and the expensive
   /// environment build — to the worker pool instead of the calling thread;
-  /// the front-ends' defence against a cold-session storm stalling every
+  /// the front-end's defence against a cold-session storm stalling every
   /// connection.  \p key is the precomputed `SessionCache::content_key` of
   /// \p text (the caller's admission probe already hashed the body; the
   /// worker must not pay that again).  \p done fires on a worker (or
@@ -312,9 +312,8 @@ class RoutingService {
   void submit_pin(PinRequest req, PinCallback done);
 
   /// Releases every pin owned by \p owner — the disconnect auto-release
-  /// hook, called by both front-ends when a connection ends (the epoll
-  /// loop from close_connection, the blocking loop at serve_connection
-  /// exit).  With \p preserve (the event loop's drain path during
+  /// hook, called by the event loop's close_connection when a connection
+  /// ends.  With \p preserve (the event loop's drain path during
   /// shutdown) the pins stay registered unowned instead of being
   /// destroyed, so final_save_pins can still snapshot them.
   void release_pins(const std::shared_ptr<std::atomic<bool>>& owner,
@@ -340,7 +339,7 @@ class RoutingService {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
   /// The STATS response body: the metrics snapshot plus whatever the
-  /// registered extra-stats hook (the TCP front-end's loop-health section)
+  /// registered extra-stats hook (the front-end's loop-health section)
   /// appends.
   [[nodiscard]] std::string stats_text() const;
 
@@ -352,7 +351,7 @@ class RoutingService {
   void set_extra_stats(std::function<std::string()> extra);
 
   /// Records one sample into a verb's latency shard — for request kinds
-  /// served outside the worker pool (the front-ends' inline STATS render).
+  /// served outside the worker pool (the front-end's inline STATS render).
   void record_verb_latency(VerbKind kind, std::uint64_t micros) noexcept {
     metrics_.verb_latency[static_cast<std::size_t>(kind)].record(micros);
   }

@@ -11,8 +11,8 @@
 #include <vector>
 
 /// \file trace.hpp
-/// Request-level observability primitives shared by the service and both
-/// front-ends:
+/// Request-level observability primitives shared by the service and the
+/// front-end:
 ///
 ///  - Histogram: lock-free fixed-bucket log2 latency histogram.  record() is
 ///    three relaxed atomic adds — no mutex, no allocation — so it can sit on

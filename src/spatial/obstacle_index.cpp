@@ -19,10 +19,14 @@ ObstacleIndex::ObstacleIndex(Rect boundary, std::vector<Rect> obstacles)
     : boundary_(boundary), obstacles_(std::move(obstacles)) {
   const std::size_t n = obstacles_.size();
   dead_.assign(n, 0);
-  by_xlo_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) by_xlo_[i] = i;
-  by_xhi_ = by_ylo_ = by_yhi_ = by_xlo_;
   const auto& obs = obstacles_;
+  // Only an interior blocks a ray: a zero-area obstacle (a line or a point)
+  // is all boundary, and boundaries are routable, so no edge table lists it.
+  by_xlo_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (obs[i].proper()) by_xlo_.push_back(i);
+  }
+  by_xhi_ = by_ylo_ = by_yhi_ = by_xlo_;
   std::sort(by_xlo_.begin(), by_xlo_.end(), [&obs](std::size_t a, std::size_t b) {
     return obs[a].xlo < obs[b].xlo;
   });
@@ -98,8 +102,12 @@ void ObstacleIndex::insert(const Rect& r) {
   if (!grid_ready) build_buckets();
 
   // Splice into each sorted edge table; equal keys keep the new entry after
-  // existing ones (upper_bound), so insertion is deterministic.
-  const auto splice = [idx](std::vector<std::size_t>& table, auto&& less_key) {
+  // existing ones (upper_bound), so insertion is deterministic.  A
+  // zero-area obstacle stays out, as in the building constructor.
+  const bool blocks_rays = obs[idx].proper();
+  const auto splice = [idx, blocks_rays](std::vector<std::size_t>& table,
+                                         auto&& less_key) {
+    if (!blocks_rays) return;
     table.insert(std::upper_bound(table.begin(), table.end(), idx, less_key),
                  idx);
   };

@@ -169,7 +169,8 @@ class ObstacleIndex {
 
   /// Edge tables: obstacle indices sorted by the coordinate of the edge a ray
   /// travelling in the keyed direction would hit first (east rays hit left
-  /// edges, sorted ascending by xlo, etc.).
+  /// edges, sorted ascending by xlo, etc.).  Zero-area obstacles are left
+  /// out: with no interior, they block no ray.
   std::vector<std::size_t> by_xlo_;  // east probes
   std::vector<std::size_t> by_xhi_;  // west probes (descending xhi)
   std::vector<std::size_t> by_ylo_;  // north probes

@@ -37,7 +37,7 @@ spatial::RayHit naive_trace(const Rect& boundary,
   const Axis perp = other(ax);
   for (std::size_t i = 0; i < obstacles.size(); ++i) {
     const Rect& r = obstacles[i];
-    if (!r.span(perp).contains_open(p.along(perp))) continue;
+    if (!r.proper() || !r.span(perp).contains_open(p.along(perp))) continue;
     Coord edge = 0;
     switch (d) {
       case Dir::kEast: edge = r.xlo; break;

@@ -26,6 +26,7 @@
 #include "net/event_loop.hpp"
 #include "net/reactor_pool.hpp"
 #include "net/socket.hpp"
+#include "protocol_harness.hpp"
 #include "serve/fd_stream.hpp"
 #include "serve/frame_parser.hpp"
 #include "serve/layout_session.hpp"
@@ -34,6 +35,7 @@
 #include "workload/netgen.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -191,68 +193,11 @@ TEST(FrameParser, FinishEofReportsTruncatedLoadBody) {
 
 constexpr bool kHaveEventLoop = true;
 
-/// A RoutingService + EventLoop pair running on a background thread.
-class TestServer {
- public:
-  explicit TestServer(
-      const net::EventLoopOptions& lopts = net::EventLoopOptions(),
-      const serve::RoutingService::Options& sopts =
-          serve::RoutingService::Options())
-      : service_(sopts), loop_(service_, lopts),
-        thread_([this] { loop_.run(); }) {}
-
-  ~TestServer() {
-    loop_.stop();
-    loop_.stop();  // force-close anything a test left dangling
-    thread_.join();
-  }
-
-  [[nodiscard]] std::uint16_t port() const noexcept { return loop_.port(); }
-  [[nodiscard]] serve::RoutingService& service() noexcept { return service_; }
-  [[nodiscard]] const net::EventLoopStats& stats() const noexcept {
-    return loop_.stats();
-  }
-
- private:
-  serve::RoutingService service_;
-  net::EventLoop loop_;
-  std::thread thread_;
-};
-
-void send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
-    ASSERT_GT(w, 0) << "send failed: " << std::strerror(errno);
-    off += static_cast<std::size_t>(w);
-  }
-}
-
-struct Frame {
-  std::string status;
-  std::string body;
-};
-
-Frame read_frame(std::istream& in) {
-  Frame f;
-  EXPECT_TRUE(static_cast<bool>(std::getline(in, f.status)));
-  std::istringstream is(f.status);
-  std::string kw;
-  std::size_t nbytes = 0;
-  is >> kw;
-  if (kw == "OK" && (is >> nbytes) && nbytes > 0) {
-    f.body.resize(nbytes);
-    in.read(f.body.data(), static_cast<std::streamsize>(nbytes));
-  }
-  return f;
-}
-
-std::string workload_text(std::size_t cells, std::size_t nets,
-                          std::uint64_t seed) {
-  return io::write_layout_string(
-      workload::standard_workload(cells, 512, nets, seed));
-}
+using test::Frame;
+using test::next_frame;
+using test::send_all;
+using test::TestServer;
+using test::workload_text;
 
 std::string load_frame(const std::string& text) {
   return "LOAD " + std::to_string(text.size()) + "\n" + text;
@@ -268,12 +213,12 @@ TEST(EventLoop, SplitFramesOneByteWrites) {
   for (const char c : script) {
     send_all(sock.get(), std::string(1, c));
   }
-  const Frame load = read_frame(transport.in());
+  const Frame load = next_frame(transport.in());
   EXPECT_EQ(load.status.rfind("OK 0 session=", 0), 0u) << load.status;
-  const Frame stats = read_frame(transport.in());
+  const Frame stats = next_frame(transport.in());
   EXPECT_EQ(stats.status.rfind("OK ", 0), 0u);
   EXPECT_NE(stats.body.find("requests_submitted"), std::string::npos);
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
 }
 
@@ -292,14 +237,14 @@ TEST(EventLoop, PipelinedCommandsInOneSegment) {
   // complete, correct, and in request order.
   send_all(sock.get(), load_frame(text) + "ROUTE " + key + "\nSTATS\nQUIT\n");
 
-  const Frame load = read_frame(transport.in());
+  const Frame load = next_frame(transport.in());
   EXPECT_NE(load.status.find("session=" + key), std::string::npos);
-  const Frame route = read_frame(transport.in());
+  const Frame route = next_frame(transport.in());
   ASSERT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
   const route::NetlistResult parsed = io::read_routes_string(route.body, lay);
   EXPECT_EQ(parsed.total_wirelength, reference.total_wirelength);
   EXPECT_EQ(parsed.routed, reference.routed);
-  const Frame stats = read_frame(transport.in());
+  const Frame stats = next_frame(transport.in());
   // STATS *executes* at dispatch — possibly while the pipelined ROUTE is
   // still on a worker — so assert on the submission counter, which is
   // bumped synchronously before STATS runs.  Its *response* still arrives
@@ -307,7 +252,7 @@ TEST(EventLoop, PipelinedCommandsInOneSegment) {
   // has already proven.
   EXPECT_NE(stats.body.find("requests_submitted 1"), std::string::npos)
       << stats.body;
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
   // After QUIT's response the server closes: clean EOF, not a reset.
   char c = 0;
@@ -322,7 +267,7 @@ TEST(EventLoop, TrailingLineWithoutNewlineServedOnHalfClose) {
   serve::FdTransport transport(sock.get());
   send_all(sock.get(), "STATS");  // no LF
   ASSERT_EQ(::shutdown(sock.get(), SHUT_WR), 0);
-  const Frame stats = read_frame(transport.in());
+  const Frame stats = next_frame(transport.in());
   EXPECT_EQ(stats.status.rfind("OK ", 0), 0u) << stats.status;
   EXPECT_NE(stats.body.find("requests_submitted"), std::string::npos);
   char c = 0;
@@ -336,21 +281,21 @@ TEST(EventLoop, ErrorsAndHardeningOverTcp) {
 
   // Unknown command with embedded control bytes: the echo must be clamped.
   send_all(sock.get(), "NO\x1b[31mPE\n");
-  const Frame err = read_frame(transport.in());
+  const Frame err = next_frame(transport.in());
   EXPECT_EQ(err.status.rfind("ERR ", 0), 0u);
   EXPECT_EQ(err.status.find('\x1b'), std::string::npos);
 
   // Overlong command line: ERR, then the connection keeps serving.
   send_all(sock.get(),
            std::string(serve::kMaxCommandLine + 10, 'z') + "\nSTATS\n");
-  const Frame overlong = read_frame(transport.in());
+  const Frame overlong = next_frame(transport.in());
   EXPECT_NE(overlong.status.find("exceeds"), std::string::npos);
-  const Frame stats = read_frame(transport.in());
+  const Frame stats = next_frame(transport.in());
   EXPECT_EQ(stats.status.rfind("OK ", 0), 0u);
 
   // Unparsable LOAD count: ERR, then the server closes the connection.
   send_all(sock.get(), "LOAD banana\nSTATS\n");
-  const Frame fatal = read_frame(transport.in());
+  const Frame fatal = next_frame(transport.in());
   EXPECT_NE(fatal.status.find("out of sync"), std::string::npos);
   char c = 0;
   EXPECT_EQ(::recv(sock.get(), &c, 1, 0), 0);  // EOF, no STATS response
@@ -385,10 +330,10 @@ TEST(EventLoop, ManyClientsEachGetCorrectUninterleavedResponses) {
       script += "QUIT\n";
       send_all(sock.get(), script);
 
-      const Frame load = read_frame(transport.in());
+      const Frame load = next_frame(transport.in());
       if (load.status.rfind("OK 0 session=" + key, 0) != 0) ++mismatches[c];
       for (std::size_t q = 0; q < kPerClient; ++q) {
-        const Frame route = read_frame(transport.in());
+        const Frame route = next_frame(transport.in());
         if (route.status.rfind("OK ", 0) != 0) {
           ++mismatches[c];
           continue;
@@ -404,7 +349,7 @@ TEST(EventLoop, ManyClientsEachGetCorrectUninterleavedResponses) {
           ++mismatches[c];  // interleaved/corrupt body would not parse
         }
       }
-      const Frame bye = read_frame(transport.in());
+      const Frame bye = next_frame(transport.in());
       if (bye.status != "OK 0 bye") ++mismatches[c];
     });
   }
@@ -459,17 +404,17 @@ TEST(EventLoop, SlowReaderIsSuspendedThenServedOnceItDrains) {
   EXPECT_EQ(server.stats().dropped_slow.load(), 0u);
 
   // Now drain like a healthy client: every response arrives, in order.
-  const Frame load = read_frame(transport.in());
+  const Frame load = next_frame(transport.in());
   EXPECT_EQ(load.status.rfind("OK 0 session=", 0), 0u);
   for (std::size_t q = 0; q < kRequests; ++q) {
-    const Frame route = read_frame(transport.in());
+    const Frame route = next_frame(transport.in());
     ASSERT_EQ(route.status.rfind("OK ", 0), 0u) << "request " << q;
     const route::NetlistResult parsed =
         io::read_routes_string(route.body, lay);
     EXPECT_EQ(parsed.total_wirelength, reference.total_wirelength);
   }
   send_all(sock.get(), "QUIT\n");
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
 }
 
@@ -494,11 +439,11 @@ TEST(EventLoop, SynchronousCommandBurstIsDeferredNotDropped) {
   send_all(sock.get(), script);
 
   for (std::size_t q = 0; q < kBurst; ++q) {
-    const Frame stats = read_frame(transport.in());
+    const Frame stats = next_frame(transport.in());
     ASSERT_EQ(stats.status.rfind("OK ", 0), 0u) << "response " << q;
     ASSERT_NE(stats.body.find("requests_submitted"), std::string::npos);
   }
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
   EXPECT_EQ(server.stats().dropped_slow.load(), 0u);
   EXPECT_GT(server.stats().reads_suspended.load(), 0u);
@@ -539,9 +484,9 @@ TEST(EventLoop, SlowReaderBeyondHardCapIsDropped) {
   const net::ScopedFd probe = net::tcp_connect(server.port());
   serve::FdTransport transport(probe.get());
   send_all(probe.get(), "STATS\nQUIT\n");
-  const Frame stats = read_frame(transport.in());
+  const Frame stats = next_frame(transport.in());
   EXPECT_EQ(stats.status.rfind("OK ", 0), 0u);
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
 }
 
@@ -566,11 +511,11 @@ TEST(EventLoop, FailFastRouteBurstIsBoundedAndServed) {
   send_all(sock.get(), script);
 
   for (std::size_t q = 0; q < kBurst; ++q) {
-    const Frame err = read_frame(transport.in());
+    const Frame err = next_frame(transport.in());
     ASSERT_EQ(err.status.rfind("ERR session_not_found", 0), 0u)
         << "response " << q << ": " << err.status;
   }
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
   EXPECT_GT(server.stats().reads_suspended.load(), 0u)
       << "the in-flight cap should have parked the burst's tail";
@@ -594,7 +539,7 @@ TEST(EventLoop, DisconnectMidRouteCancelsQueuedWork) {
     const net::ScopedFd sock = net::tcp_connect(server.port());
     serve::FdTransport transport(sock.get());
     send_all(sock.get(), load_frame(text));
-    const Frame load = read_frame(transport.in());
+    const Frame load = next_frame(transport.in());
     ASSERT_EQ(load.status.rfind("OK 0 session=", 0), 0u);
     std::string script;
     for (std::size_t q = 0; q < kRequests; ++q) {
@@ -630,9 +575,9 @@ TEST(EventLoop, DisconnectMidRouteCancelsQueuedWork) {
   const net::ScopedFd probe = net::tcp_connect(server.port());
   serve::FdTransport transport(probe.get());
   send_all(probe.get(), "STATS\nQUIT\n");
-  const Frame stats = read_frame(transport.in());
+  const Frame stats = next_frame(transport.in());
   EXPECT_EQ(stats.status.rfind("OK ", 0), 0u);
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
 }
 
@@ -653,8 +598,8 @@ TEST(EventLoop, RouteNetSubsetOverTcp) {
                            "," + first + "\nROUTE " + key +
                            " nets=no_such_net\nQUIT\n");
 
-  (void)read_frame(transport.in());  // LOAD
-  const Frame subset = read_frame(transport.in());
+  (void)next_frame(transport.in());  // LOAD
+  const Frame subset = next_frame(transport.in());
   ASSERT_EQ(subset.status.rfind("OK ", 0), 0u) << subset.status;
   EXPECT_NE(subset.status.find("routed=2 "), std::string::npos);
   // The dump covers exactly the requested nets, in request order, and each
@@ -666,11 +611,11 @@ TEST(EventLoop, RouteNetSubsetOverTcp) {
   EXPECT_EQ(subset.body.rfind("route " + second + " ", 0), 0u)
       << "dump must begin with the first requested net";
 
-  const Frame unknown = read_frame(transport.in());
+  const Frame unknown = next_frame(transport.in());
   EXPECT_EQ(unknown.status.rfind("ERR ", 0), 0u);
   EXPECT_NE(unknown.status.find("unknown net 'no_such_net'"),
             std::string::npos);
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
 }
 
@@ -702,9 +647,9 @@ TEST(EventLoop, RerouteOverTcp) {
                            "\nREROUTE " + key + " mode=independent nets=" +
                            a + "\nQUIT\n");
 
-  const Frame load = read_frame(transport.in());
+  const Frame load = next_frame(transport.in());
   EXPECT_EQ(load.status.rfind("OK 0 session=", 0), 0u) << load.status;
-  const Frame reroute = read_frame(transport.in());
+  const Frame reroute = next_frame(transport.in());
   ASSERT_EQ(reroute.status.rfind("OK ", 0), 0u) << reroute.status;
   EXPECT_NE(reroute.status.find("routed=" + std::to_string(want.routed) +
                                 " failed=" + std::to_string(want.failed)),
@@ -713,13 +658,13 @@ TEST(EventLoop, RerouteOverTcp) {
   EXPECT_EQ(reroute.body, want_dump)
       << "REROUTE dump must reproduce the rip-up driver bit-for-bit";
 
-  const Frame missing = read_frame(transport.in());
+  const Frame missing = next_frame(transport.in());
   EXPECT_EQ(missing.status.rfind("ERR ", 0), 0u);
   EXPECT_NE(missing.status.find("REROUTE needs nets="), std::string::npos);
-  const Frame badmode = read_frame(transport.in());
+  const Frame badmode = next_frame(transport.in());
   EXPECT_EQ(badmode.status.rfind("ERR ", 0), 0u);
   EXPECT_NE(badmode.status.find("always sequential"), std::string::npos);
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
 }
 
@@ -784,9 +729,9 @@ TEST(EventLoop, OptimizeStreamsPassLinesInPipelineOrder) {
   send_all(sock.get(), load_frame(text) + "ROUTE " + key + "\nOPTIMIZE " +
                            key + "\nSTATS\nQUIT\n");
 
-  const Frame load = read_frame(transport.in());
+  const Frame load = next_frame(transport.in());
   EXPECT_EQ(load.status.rfind("OK 0 session=", 0), 0u) << load.status;
-  const Frame route = read_frame(transport.in());
+  const Frame route = next_frame(transport.in());
   ASSERT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
   EXPECT_EQ(io::read_routes_string(route.body, lay).total_wirelength,
             ref.total_wirelength);
@@ -812,10 +757,10 @@ TEST(EventLoop, OptimizeStreamsPassLinesInPipelineOrder) {
   EXPECT_EQ(parsed.total_wirelength, direct.result.total_wirelength);
   EXPECT_EQ(parsed.routed, direct.result.routed);
 
-  const Frame stats = read_frame(transport.in());
+  const Frame stats = next_frame(transport.in());
   ASSERT_EQ(stats.status.rfind("OK ", 0), 0u) << stats.status;
   EXPECT_NE(stats.body.find("requests_submitted"), std::string::npos);
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
   char c = 0;
   EXPECT_EQ(::recv(sock.get(), &c, 1, 0), 0);  // clean close, stream intact
@@ -825,10 +770,10 @@ TEST(EventLoop, OptimizeStreamsPassLinesInPipelineOrder) {
   serve::FdTransport cap_t(cap.get());
   send_all(cap.get(),
            "OPTIMIZE " + key + " deadline_ms=18446744073709551615\nQUIT\n");
-  const Frame err = read_frame(cap_t.in());
+  const Frame err = next_frame(cap_t.in());
   EXPECT_EQ(err.status.rfind("ERR ", 0), 0u) << err.status;
   EXPECT_NE(err.status.find("86400000"), std::string::npos) << err.status;
-  const Frame cap_bye = read_frame(cap_t.in());
+  const Frame cap_bye = next_frame(cap_t.in());
   EXPECT_EQ(cap_bye.status, "OK 0 bye");
 }
 
@@ -853,10 +798,10 @@ TEST(EventLoop, LoadRunsOnWorkerPoolAndLoopStaysResponsive) {
   const net::ScopedFd prober = net::tcp_connect(server.port());
   serve::FdTransport prober_t(prober.get());
   send_all(prober.get(), "STATS\n");
-  const Frame stats = read_frame(prober_t.in());
+  const Frame stats = next_frame(prober_t.in());
   EXPECT_EQ(stats.status.rfind("OK ", 0), 0u) << stats.status;
 
-  const Frame load = read_frame(loader_t.in());
+  const Frame load = next_frame(loader_t.in());
   EXPECT_EQ(load.status.rfind("OK 0 session=", 0), 0u) << load.status;
 
   // The cold LOAD went through the pool exactly once...
@@ -867,14 +812,14 @@ TEST(EventLoop, LoadRunsOnWorkerPoolAndLoopStaysResponsive) {
   // ...and a repeat LOAD of resident content answers inline (a content
   // hash on the loop), not with a second pool trip.
   send_all(loader.get(), load_frame(big) + "QUIT\n");
-  const Frame cached = read_frame(loader_t.in());
+  const Frame cached = next_frame(loader_t.in());
   EXPECT_NE(cached.status.find("cached=1"), std::string::npos)
       << cached.status;
   snap = server.service().snapshot();
   EXPECT_EQ(snap.loads_offloaded, 1u)
       << "a resident LOAD must not burn a worker-pool trip";
   EXPECT_EQ(snap.cache_hits, 1u);
-  const Frame bye = read_frame(loader_t.in());
+  const Frame bye = next_frame(loader_t.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
 
   // A malformed body still answers ERR through the offloaded path.
@@ -883,9 +828,9 @@ TEST(EventLoop, LoadRunsOnWorkerPoolAndLoopStaysResponsive) {
   const std::string garbage = "boundary 0 0 10\nnonsense";
   send_all(bad.get(), "LOAD " + std::to_string(garbage.size()) + "\n" +
                           garbage + "QUIT\n");
-  const Frame err = read_frame(bad_t.in());
+  const Frame err = next_frame(bad_t.in());
   EXPECT_EQ(err.status.rfind("ERR ", 0), 0u) << err.status;
-  const Frame bad_bye = read_frame(bad_t.in());
+  const Frame bad_bye = next_frame(bad_t.in());
   EXPECT_EQ(bad_bye.status, "OK 0 bye");
   EXPECT_EQ(server.service().snapshot().loads_failed, 1u);
 }
@@ -912,23 +857,23 @@ TEST(EventLoop, PipelinedLoadRouteBurstWaitsForOffloadedBuild) {
                            "ROUTE " + key_a + "\n" + load_frame(text_b) +
                            "ROUTE " + key_b + "\nQUIT\n");
 
-  const Frame load_a = read_frame(transport.in());
+  const Frame load_a = next_frame(transport.in());
   EXPECT_NE(load_a.status.find("session=" + key_a), std::string::npos);
   for (int i = 0; i < 2; ++i) {
-    const Frame route = read_frame(transport.in());
+    const Frame route = next_frame(transport.in());
     ASSERT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
     const route::NetlistResult parsed =
         io::read_routes_string(route.body, lay_a);
     EXPECT_EQ(parsed.total_wirelength, ref_a.total_wirelength);
   }
-  const Frame load_b = read_frame(transport.in());
+  const Frame load_b = next_frame(transport.in());
   EXPECT_NE(load_b.status.find("session=" + key_b), std::string::npos);
-  const Frame route_b = read_frame(transport.in());
+  const Frame route_b = next_frame(transport.in());
   ASSERT_EQ(route_b.status.rfind("OK ", 0), 0u) << route_b.status;
   const route::NetlistResult parsed_b =
       io::read_routes_string(route_b.body, lay_b);
   EXPECT_EQ(parsed_b.total_wirelength, ref_b.total_wirelength);
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
   EXPECT_GE(server.service().snapshot().loads_offloaded, 2u);
 }
@@ -945,8 +890,8 @@ TEST(EventLoop, StatsCarriesLoopHealthAndTraceWorksOverTcp) {
   serve::FdTransport transport(sock.get());
   send_all(sock.get(), load_frame(text) + "ROUTE " + key + " trace=1\n");
 
-  (void)read_frame(transport.in());  // LOAD
-  const Frame route = read_frame(transport.in());
+  (void)next_frame(transport.in());  // LOAD
+  const Frame route = next_frame(transport.in());
   ASSERT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
   // Span breakdown rides the response meta when asked for...
   EXPECT_NE(route.status.find("span_exec_us="), std::string::npos)
@@ -959,7 +904,7 @@ TEST(EventLoop, StatsCarriesLoopHealthAndTraceWorksOverTcp) {
   // ROUTE deterministically once its response has been read back, which
   // happens-after the worker recorded the histogram and ring entries.
   send_all(sock.get(), "STATS\nTRACE n=4\nQUIT\n");
-  const Frame stats = read_frame(transport.in());
+  const Frame stats = next_frame(transport.in());
   ASSERT_EQ(stats.status.rfind("OK ", 0), 0u);
   // ...the service shards it per verb...
   EXPECT_NE(stats.body.find("verb_route_count 1"), std::string::npos)
@@ -980,13 +925,13 @@ TEST(EventLoop, StatsCarriesLoopHealthAndTraceWorksOverTcp) {
   EXPECT_EQ(stats.body.find("loop_bytes_in 0\n"), std::string::npos)
       << "the LOAD alone sent hundreds of bytes";
 
-  const Frame trace = read_frame(transport.in());
+  const Frame trace = next_frame(transport.in());
   ASSERT_EQ(trace.status.rfind("OK ", 0), 0u) << trace.status;
   EXPECT_NE(trace.status.find("count="), std::string::npos);
   // The traced ROUTE (and the offloaded LOAD) are in the ring.
   EXPECT_NE(trace.body.find("verb=route"), std::string::npos) << trace.body;
   EXPECT_NE(trace.body.find("session=" + key), std::string::npos);
-  const Frame bye = read_frame(transport.in());
+  const Frame bye = next_frame(transport.in());
   EXPECT_EQ(bye.status, "OK 0 bye");
 
   // Once the client hangs up the gauge returns to zero — poll briefly, the
@@ -1019,13 +964,13 @@ TEST(EventLoop, UnixListenerServesSameProtocolAndUnlinksOnExit) {
     const net::ScopedFd un = net::unix_connect(path);
     serve::FdTransport transport(un.get());
     send_all(un.get(), load_frame(text) + "ROUTE " + key + "\nQUIT\n");
-    const Frame load = read_frame(transport.in());
+    const Frame load = next_frame(transport.in());
     EXPECT_EQ(load.status.rfind("OK ", 0), 0u) << load.status;
-    const Frame route = read_frame(transport.in());
+    const Frame route = next_frame(transport.in());
     ASSERT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
     EXPECT_NE(route.status.find("routed="), std::string::npos);
     EXPECT_FALSE(route.body.empty());
-    const Frame bye = read_frame(transport.in());
+    const Frame bye = next_frame(transport.in());
     EXPECT_EQ(bye.status, "OK 0 bye");
 
     // The TCP listener coexists on the same loop — and both transports are
@@ -1033,7 +978,7 @@ TEST(EventLoop, UnixListenerServesSameProtocolAndUnlinksOnExit) {
     const net::ScopedFd tcp = net::tcp_connect(server.port());
     serve::FdTransport ttrans(tcp.get());
     send_all(tcp.get(), "ROUTE " + key + "\nQUIT\n");
-    const Frame troute = read_frame(ttrans.in());
+    const Frame troute = next_frame(ttrans.in());
     EXPECT_EQ(troute.status.rfind("OK ", 0), 0u) << troute.status;
   }
   // Loop gone ⇒ path gone (unlink-on-exit), so restarts never hit EADDRINUSE.
@@ -1065,9 +1010,9 @@ TEST(ReactorPool, ShardsConnectionsAndAggregatesLoopStats) {
     for (std::size_t i = 0; i < socks.size(); ++i) {
       serve::FdTransport transport(socks[i].get());
       send_all(socks[i].get(), load_frame(text) + "ROUTE " + key + "\n");
-      const Frame load = read_frame(transport.in());
+      const Frame load = next_frame(transport.in());
       EXPECT_EQ(load.status.rfind("OK ", 0), 0u) << load.status;
-      const Frame route = read_frame(transport.in());
+      const Frame route = next_frame(transport.in());
       EXPECT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
     }
 
@@ -1075,7 +1020,7 @@ TEST(ReactorPool, ShardsConnectionsAndAggregatesLoopStats) {
     const net::ScopedFd ssock = net::tcp_connect(pool.port());
     serve::FdTransport stransport(ssock.get());
     send_all(ssock.get(), "STATS\nQUIT\n");
-    const Frame stats = read_frame(stransport.in());
+    const Frame stats = next_frame(stransport.in());
     ASSERT_EQ(stats.status.rfind("OK ", 0), 0u) << stats.status;
     EXPECT_NE(stats.body.find("loop_reactors 4"), std::string::npos)
         << stats.body;
@@ -1098,7 +1043,7 @@ TEST(ReactorPool, ShardsConnectionsAndAggregatesLoopStats) {
                 std::string::npos);
     }
     EXPECT_EQ(accepted_sum, 9u);
-    const Frame bye = read_frame(stransport.in());
+    const Frame bye = next_frame(stransport.in());
     EXPECT_EQ(bye.status, "OK 0 bye");
   }
 
@@ -1112,6 +1057,136 @@ TEST(ReactorPool, ShardsConnectionsAndAggregatesLoopStats) {
     EXPECT_EQ(pool.loop(i).stats().connections.load(), 0u);
   }
   EXPECT_EQ(accepted, 9u);
+}
+
+// ------------------------------------------------------- adopted descriptors
+
+/// Reads \p fd from its start to end of file.
+std::string read_file(int fd) {
+  std::string out;
+  char buf[64 * 1024];
+  ::lseek(fd, 0, SEEK_SET);
+  for (ssize_t r; (r = ::read(fd, buf, sizeof buf)) > 0;) {
+    out.append(buf, static_cast<std::size_t>(r));
+  }
+  return out;
+}
+
+TEST(EventLoop, AdoptedPipesRunOneCommandAtATimeAndRestoreFlags) {
+  // ROUTE then STATS back to back: the STATS must wait for the ROUTE, as
+  // every command on a pipe does, so its body already counts it.  The
+  // layout is big enough that a pipelined STATS would overtake the ROUTE.
+  const std::string text = workload_text(25, 40, 7);
+  const std::string key = serve::SessionCache::content_key(text);
+  serve::RoutingService service;
+  std::istringstream replies(test::run_script(
+      service, load_frame(text) + "ROUTE " + key + "\nSTATS\nQUIT\n"));
+  (void)next_frame(replies);  // LOAD
+  const Frame route = next_frame(replies);
+  ASSERT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
+  const Frame stats = next_frame(replies);
+  EXPECT_NE(stats.body.find("\nrequests_ok 1\n"), std::string::npos)
+      << stats.body;
+  EXPECT_EQ(next_frame(replies).status, "OK 0 bye");
+
+  // The loop borrows descriptors: O_NONBLOCK is gone once it returns.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ::close(fds[1]);  // immediate EOF: the connection closes at once
+  net::EventLoop(service, net::EventLoopOptions(), fds[0], fds[0]).run();
+  EXPECT_EQ(::fcntl(fds[0], F_GETFL) & O_NONBLOCK, 0);
+  ::close(fds[0]);
+}
+
+TEST(EventLoop, AdoptedPipesDeliverAResponsePastTheHardCap) {
+  // A pipe reader is never dropped as too slow: 40 cells with 2201 pins
+  // each render an SVG larger than the default 4 MiB write_hard_cap, and
+  // it must arrive whole even when the reader starts only once the whole
+  // response is waiting in the loop.
+  std::string text = "boundary 0 0 100000 1000\n";
+  for (int c = 0; c < 40; ++c) {
+    const int x0 = c * 2400 + 100;
+    const int x1 = x0 + 2200;
+    text += "cell c" + std::to_string(c) + " " + std::to_string(x0) +
+            " 200 " + std::to_string(x1) + " 800\nterm c" +
+            std::to_string(c) + " t";
+    for (int x = x0; x <= x1; ++x) text += " " + std::to_string(x) + " 800";
+    text += "\n";
+  }
+  const std::string script = load_frame(text) + "SVG " +
+                             serve::SessionCache::content_key(text) +
+                             "\nQUIT\n";
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  serve::RoutingService service;
+  net::EventLoop loop(service, net::EventLoopOptions(), in[0], out[1]);
+  std::thread server([&] {
+    loop.run();
+    ::close(out[1]);  // EOF for the reader, even after a drop
+  });
+  std::thread writer([&] { test::write_and_close(in[1], script); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service.snapshot().stages_ok == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Let the loop meet the full pipe before anyone reads it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  serve::FdTransport transport(out[0], -1);
+  (void)next_frame(transport.in());  // LOAD
+  const Frame svg = next_frame(transport.in());
+  ASSERT_EQ(svg.status.rfind("OK ", 0), 0u) << svg.status;
+  EXPECT_GT(svg.body.size(), net::EventLoopOptions().write_hard_cap);
+  EXPECT_EQ(svg.body.substr(svg.body.size() - 7), "</svg>\n");
+  EXPECT_EQ(next_frame(transport.in()).status, "OK 0 bye");
+  server.join();
+  writer.join();
+  EXPECT_EQ(loop.stats().dropped_slow.load(), 0u);
+  ::close(in[0]);
+  ::close(out[0]);
+}
+
+TEST(EventLoop, AdoptedRegularFilesAnswerLikePipes) {
+  // epoll refuses regular files, so `gcr_serve < script > out` reads and
+  // writes them without waiting — with the same bytes as through pipes.
+  const std::string text = workload_text(9, 12, 7);
+  const std::string key = serve::SessionCache::content_key(text);
+  const std::string script =
+      load_frame(text) + "ROUTE " + key + "\nSTATS\nQUIT\n";
+  serve::RoutingService piped;
+  std::istringstream want(test::run_script(piped, script));
+
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(in, nullptr);
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(::write(fileno(in), script.data(), script.size()),
+            static_cast<ssize_t>(script.size()));
+  ::lseek(fileno(in), 0, SEEK_SET);
+  serve::RoutingService filed;
+  net::EventLoop(filed, net::EventLoopOptions(), fileno(in), fileno(out))
+      .run();
+  std::istringstream got(read_file(fileno(out)));
+  std::fclose(in);
+  std::fclose(out);
+
+  // Timings differ run to run: compare ROUTE up to its timing meta and
+  // STATS by its counters, the rest exactly.
+  EXPECT_EQ(next_frame(got).status, next_frame(want).status);  // LOAD
+  const Frame route = next_frame(got);
+  const Frame want_route = next_frame(want);
+  EXPECT_EQ(test::strip_timing(route.status),
+            test::strip_timing(want_route.status));
+  EXPECT_EQ(route.body, want_route.body);
+  const Frame stats = next_frame(got);
+  EXPECT_NE(stats.body.find("\nrequests_ok 1\n"), std::string::npos);
+  (void)next_frame(want);
+  EXPECT_EQ(next_frame(got).status, "OK 0 bye");
+  EXPECT_EQ(got.peek(), EOF);
 }
 
 #else  // !__linux__

@@ -3,9 +3,9 @@
 // stage runner's determinism and cancellation, the serving integration
 // (lazy default-route commit, repeated-stage cache hits counted through
 // the build-count seam, REROUTE/OPTIMIZE invalidation by re-keying), and
-// the DETAIL / CONGEST / VERIFY / SVG / GEN verbs end to end on both
-// front-ends — including the pipelined GEN -> ROUTE -> DETAIL -> VERIFY
-// -> STATS sequence over real TCP and byte-identical front-end parity.
+// the DETAIL / CONGEST / VERIFY / SVG / GEN verbs end to end over pipes
+// and TCP — including the pipelined GEN -> ROUTE -> DETAIL -> VERIFY ->
+// STATS sequence over real TCP and byte-identical pipe-vs-TCP parity.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include "pipeline/stage.hpp"
 #include "pipeline/stage_cache.hpp"
 #include "pipeline/stage_runner.hpp"
+#include "protocol_harness.hpp"
 #include "serve/layout_session.hpp"
 #include "serve/protocol.hpp"
 #include "serve/routing_service.hpp"
@@ -35,9 +36,6 @@
 #if defined(__linux__)
 #include <sys/socket.h>
 
-#include <thread>
-
-#include "net/event_loop.hpp"
 #include "net/socket.hpp"
 #include "serve/fd_stream.hpp"
 #endif
@@ -45,12 +43,10 @@
 namespace {
 
 using namespace gcr;
-
-std::string workload_text(std::size_t cells, std::size_t nets,
-                          std::uint64_t seed) {
-  return io::write_layout_string(
-      workload::standard_workload(cells, 512, nets, seed));
-}
+using test::Frame;
+using test::next_frame;
+using test::strip_timing;
+using test::workload_text;
 
 /// In-process reference for a stage verb: default options, default full
 /// sequential route — exactly what the service runs on a fresh session.
@@ -363,43 +359,18 @@ TEST(ServiceStages, StatsCountStagesAndGens) {
   EXPECT_NE(text.find("stage_cache_hits 1"), std::string::npos);
 }
 
-// ------------------------------------------------ blocking front-end (pipe)
+// ------------------------------------------------------ pipes, one at a time
+
+serve::RoutingService::Options two_workers() {
+  serve::RoutingService::Options opts;
+  opts.workers = 2;
+  return opts;
+}
 
 /// Runs a scripted connection and returns everything the service wrote.
 std::string run_protocol(const std::string& script) {
-  serve::RoutingService::Options opts;
-  opts.workers = 2;
-  serve::RoutingService service(opts);
-  std::istringstream in(script);
-  std::ostringstream out;
-  serve::serve_connection(service, in, out);
-  return out.str();
-}
-
-struct Frame {
-  std::string status;
-  std::string body;
-};
-
-Frame next_frame(std::istream& in) {
-  Frame f;
-  EXPECT_TRUE(static_cast<bool>(std::getline(in, f.status)));
-  std::istringstream is(f.status);
-  std::string kw;
-  std::size_t nbytes = 0;
-  is >> kw;
-  if (kw == "OK" && (is >> nbytes) && nbytes > 0) {
-    f.body.resize(nbytes);
-    in.read(f.body.data(), static_cast<std::streamsize>(nbytes));
-  }
-  return f;
-}
-
-/// Drops the trailing per-request timing fields, which legitimately differ
-/// between runs and front-ends.
-std::string strip_timing(const std::string& status) {
-  const std::size_t pos = status.find(" queue_us=");
-  return pos == std::string::npos ? status : status.substr(0, pos);
+  serve::RoutingService service(two_workers());
+  return test::run_script(service, script);
 }
 
 const char kGenLine[] = "GEN standard seed=5 cells=9 extent=512 nets=12\n";
@@ -511,53 +482,19 @@ TEST(Protocol, StageAndGenParseRejections) {
   EXPECT_EQ(bye.status, "OK 0 bye");
 }
 
-// --------------------------------------------------- epoll front-end (TCP)
+// ------------------------------------------------------- TCP, pipelined
 
 #if defined(__linux__)
 
-/// A RoutingService + EventLoop pair running on a background thread.
-class TestServer {
- public:
-  TestServer()
-      : service_(service_options()), loop_(service_, net::EventLoopOptions()),
-        thread_([this] { loop_.run(); }) {}
-
-  ~TestServer() {
-    loop_.stop();
-    thread_.join();
-  }
-
-  [[nodiscard]] std::uint16_t port() const noexcept { return loop_.port(); }
-  [[nodiscard]] serve::RoutingService& service() noexcept { return service_; }
-
- private:
-  static serve::RoutingService::Options service_options() {
-    serve::RoutingService::Options opts;
-    opts.workers = 2;
-    return opts;
-  }
-
-  serve::RoutingService service_;
-  net::EventLoop loop_;
-  std::thread thread_;
-};
-
-void send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    ASSERT_GT(w, 0);
-    off += static_cast<std::size_t>(w);
-  }
-}
+using test::send_all;
+using test::TestServer;
 
 TEST(EventLoopPipeline, PipelinedGenRouteDetailVerifyStats) {
   // The acceptance sequence, all five frames in ONE TCP segment: the GEN
   // must act as an ordering barrier (the ROUTE and stages are parked until
   // the synthesized session exists), and every response must arrive
   // complete, correct, and in request order.
-  TestServer server;
+  TestServer server({}, two_workers());
   const std::string text = workload_text(9, 12, 5);
   const std::string key = serve::SessionCache::content_key(text);
   const layout::Layout lay = io::read_layout_string(text);
@@ -614,7 +551,7 @@ TEST(EventLoopPipeline, PipelinedGenRouteDetailVerifyStats) {
 }
 
 /// Masks the reply bytes that legitimately differ between runs and
-/// front-ends: per-request timing fields, HELLO's uptime, and TRACE's body
+/// transports: per-request timing fields, HELLO's uptime, and TRACE's body
 /// (which requests were slowest is timing too).
 std::string normalized(std::string status, std::string body) {
   status = strip_timing(status);
@@ -678,23 +615,19 @@ struct Round {
   std::size_t replies = 0;
 };
 
-/// What one front-end answered: every reply, and the final accounting.
+/// What one transport answered: every reply, and the final accounting.
 struct FrontEndRun {
   std::vector<std::string> replies;
   std::string counters;
 };
 
-FrontEndRun run_blocking(const std::vector<Round>& script) {
-  serve::RoutingService::Options opts;
-  opts.workers = 2;
-  serve::RoutingService service(opts);
+/// The whole script through adopted pipes: one command at a time.
+FrontEndRun run_pipes(const std::vector<Round>& script) {
+  serve::RoutingService service(two_workers());
   std::string bytes;
   for (const Round& round : script) bytes += round.bytes;
-  std::istringstream in(bytes);
-  std::ostringstream out;
-  serve::serve_connection(service, in, out);
   FrontEndRun run;
-  std::istringstream replies(out.str());
+  std::istringstream replies(test::run_script(service, bytes));
   for (std::string reply; read_reply(replies, reply);) {
     run.replies.push_back(reply);
   }
@@ -702,8 +635,9 @@ FrontEndRun run_blocking(const std::vector<Round>& script) {
   return run;
 }
 
+/// The script over TCP, pipelined within each round.
 FrontEndRun run_tcp(const std::vector<Round>& script) {
-  TestServer server;
+  TestServer server({}, two_workers());
   const net::ScopedFd sock = net::tcp_connect(server.port());
   serve::FdTransport transport(sock.get());
   FrontEndRun run;
@@ -759,11 +693,11 @@ std::vector<Round> every_verb_script() {
   };
 }
 
-TEST(EventLoopPipeline, FrontEndsAnswerPipelineVerbsIdentically) {
-  // The same script through serve_connection (blocking) and the epoll loop
-  // (TCP) must produce byte-identical frames once the nondeterministic
-  // bytes are masked, and leave the same LOAD/GEN accounting behind — both
-  // front-ends drive one framer and one dispatcher.
+TEST(EventLoopPipeline, PipesAndTcpAnswerPipelineVerbsIdentically) {
+  // The same script through one event loop twice — adopted pipes, where
+  // commands run one at a time, and TCP, where they pipeline — must
+  // produce byte-identical frames once the nondeterministic bytes are
+  // masked, and leave the same LOAD/GEN accounting behind.
   const std::string text = workload_text(9, 12, 5);
   const std::string key = serve::SessionCache::content_key(text);
   const std::vector<Round> pipelined = {
@@ -780,19 +714,19 @@ TEST(EventLoopPipeline, FrontEndsAnswerPipelineVerbsIdentically) {
     SCOPED_TRACE(name);
     std::size_t want = 0;
     for (const Round& round : script) want += round.replies;
-    const FrontEndRun blocking = run_blocking(script);
-    const FrontEndRun epoll = run_tcp(script);
-    ASSERT_EQ(blocking.replies.size(), want);
-    ASSERT_EQ(epoll.replies.size(), want);
+    const FrontEndRun pipes = run_pipes(script);
+    const FrontEndRun tcp = run_tcp(script);
+    ASSERT_EQ(pipes.replies.size(), want);
+    ASSERT_EQ(tcp.replies.size(), want);
     for (std::size_t i = 0; i < want; ++i) {
-      EXPECT_EQ(blocking.replies[i], epoll.replies[i]) << "reply " << i;
+      EXPECT_EQ(pipes.replies[i], tcp.replies[i]) << "reply " << i;
     }
-    EXPECT_EQ(blocking.counters, epoll.counters);
+    EXPECT_EQ(pipes.counters, tcp.counters);
   }
 }
 
 TEST(EventLoopPipeline, StageVerbRejectionsOverTcp) {
-  TestServer server;
+  TestServer server({}, two_workers());
   const net::ScopedFd sock = net::tcp_connect(server.port());
   serve::FdTransport transport(sock.get());
   send_all(sock.get(), "DETAIL deadbeef\nGEN standard cells=9\nSVG "

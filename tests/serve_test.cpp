@@ -1,5 +1,5 @@
 // Tests for the serving subsystem: session cache (content addressing, LRU,
-// environment reuse), bounded job queue, worker-pool request lifecycle
+// environment reuse), fair job queue, worker-pool request lifecycle
 // (deadlines, cancellation, saturation), and the framed line protocol.
 
 #include <gtest/gtest.h>
@@ -7,10 +7,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,8 +25,8 @@
 #include "core/search_environment.hpp"
 #include "io/route_dump.hpp"
 #include "io/text_format.hpp"
+#include "protocol_harness.hpp"
 #include "serve/fair_queue.hpp"
-#include "serve/job_queue.hpp"
 #include "serve/layout_session.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
@@ -35,6 +37,9 @@
 namespace {
 
 using namespace gcr;
+using test::Frame;
+using test::next_frame;
+using test::workload_text;
 
 constexpr const char* kTinyLayout = R"(boundary 0 0 100 100
 minsep 4
@@ -44,12 +49,6 @@ term alu a 30 20
 term rom d 50 70
 net n1 alu.a rom.d
 )";
-
-std::string workload_text(std::size_t cells, std::size_t nets,
-                          std::uint64_t seed) {
-  return io::write_layout_string(
-      workload::standard_workload(cells, 512, nets, seed));
-}
 
 // ------------------------------------------------------------- session cache
 
@@ -119,34 +118,6 @@ TEST(SessionCache, RejectsMalformedAndInvalidLayouts) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// ---------------------------------------------------------------- job queue
-
-TEST(BoundedQueue, SaturationAndClose) {
-  serve::BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: admission fails fast
-  EXPECT_EQ(q.size(), 2u);
-
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.try_push(3));
-
-  q.close();
-  EXPECT_FALSE(q.try_push(4));  // closed: no admission
-  EXPECT_EQ(q.pop(), 2);        // but queued jobs drain
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), std::nullopt);  // closed + drained
-}
-
-TEST(BoundedQueue, BlockingHandoff) {
-  serve::BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(7));
-  std::thread producer([&] { EXPECT_TRUE(q.push(8)); });  // blocks while full
-  EXPECT_EQ(q.pop(), 7);
-  EXPECT_EQ(q.pop(), 8);
-  producer.join();
-}
-
 // ---------------------------------------------------------------- fair queue
 
 /// Drains the whole queue (which must already be fully loaded) and returns
@@ -157,7 +128,7 @@ std::vector<int> drain_order(serve::FairQueue<int>& q) {
   return order;
 }
 
-TEST(FairQueue, SaturationAndCloseMatchBoundedQueueSemantics) {
+TEST(FairQueue, SaturationAndClose) {
   serve::FairQueue<int> q(2);
   EXPECT_TRUE(q.try_push("a", 1));
   EXPECT_TRUE(q.try_push("b", 2));
@@ -173,6 +144,25 @@ TEST(FairQueue, SaturationAndCloseMatchBoundedQueueSemantics) {
   EXPECT_NE(q.pop(), std::nullopt);
   EXPECT_EQ(q.pop(), std::nullopt);  // closed + drained
   EXPECT_EQ(q.shards(), 0u);         // drained shards are retired
+}
+
+TEST(FairQueue, PopParksUntilPushOrClose) {
+  serve::FairQueue<int> q(1);
+  // A consumer parked on an empty queue wakes with the pushed value...
+  std::optional<int> got;
+  std::thread consumer([&] { got = q.pop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(q.try_push("a", 7));
+  consumer.join();
+  EXPECT_EQ(got, 7);
+
+  // ...and one parked when the queue closes wakes empty-handed.
+  got = 0;
+  std::thread closed_out([&] { got = q.pop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  q.close();
+  closed_out.join();
+  EXPECT_EQ(got, std::nullopt);
 }
 
 TEST(FairQueue, SingleKeyPreservesFifoOrder) {
@@ -416,30 +406,7 @@ std::string run_protocol(const std::string& script,
   serve::RoutingService::Options opts;
   opts.workers = workers;
   serve::RoutingService service(opts);
-  std::istringstream in(script);
-  std::ostringstream out;
-  serve::serve_connection(service, in, out);
-  return out.str();
-}
-
-/// Reads one framed response (status line + counted body) off \p in.
-struct Frame {
-  std::string status;
-  std::string body;
-};
-
-Frame next_frame(std::istringstream& in) {
-  Frame f;
-  EXPECT_TRUE(static_cast<bool>(std::getline(in, f.status)));
-  std::istringstream is(f.status);
-  std::string kw;
-  std::size_t nbytes = 0;
-  is >> kw;
-  if (kw == "OK" && (is >> nbytes) && nbytes > 0) {
-    f.body.resize(nbytes);
-    in.read(f.body.data(), static_cast<std::streamsize>(nbytes));
-  }
-  return f;
+  return test::run_script(service, script);
 }
 
 TEST(Protocol, LoadRouteStatsQuitRoundTrip) {
@@ -994,11 +961,12 @@ TEST(Histogram, RecordAndPercentiles) {
   static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
 }
 
-TEST(Histogram, AgreesWithLatencyWindowWithinOneBucket) {
+TEST(Histogram, AgreesWithExactSortWithinOneBucket) {
   // The acceptance criterion: on a uniform workload the log2 histogram's
-  // p50/p95/p99 land within one bucket of the exact sliding window's.
+  // p50/p95/p99 land within one bucket of the exact nearest-rank
+  // percentiles of the same samples.
   serve::Histogram hist;
-  serve::LatencyWindow window(4096);
+  std::vector<std::uint64_t> samples;
   std::uint64_t x = 0x243f6a8885a308d3ull;  // deterministic xorshift
   for (int i = 0; i < 4096; ++i) {
     x ^= x << 13;
@@ -1006,33 +974,24 @@ TEST(Histogram, AgreesWithLatencyWindowWithinOneBucket) {
     x ^= x << 17;
     const std::uint64_t sample = 200 + x % 1800;  // uniform-ish 200..1999us
     hist.record(sample);
-    window.record(sample);
+    samples.push_back(sample);
   }
+  std::sort(samples.begin(), samples.end());
   const serve::Histogram::Snapshot snap = hist.snapshot();
-  const std::vector<std::uint64_t> exact = window.percentiles({50, 95, 99});
   const double qs[] = {50, 95, 99};
   for (int i = 0; i < 3; ++i) {
+    // Nearest-rank: the smallest sample with at least q% of samples <= it.
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(qs[i] / 100.0 * static_cast<double>(samples.size())));
+    const std::uint64_t exact = samples[rank == 0 ? 0 : rank - 1];
     const std::uint64_t hist_p = snap.percentile(qs[i]);
     const auto hist_bucket = serve::Histogram::bucket_index(hist_p);
-    const auto exact_bucket = serve::Histogram::bucket_index(exact[i]);
+    const auto exact_bucket = serve::Histogram::bucket_index(exact);
     EXPECT_LE(hist_bucket > exact_bucket ? hist_bucket - exact_bucket
                                          : exact_bucket - hist_bucket,
               1u)
-        << "q=" << qs[i] << " hist=" << hist_p << " exact=" << exact[i];
+        << "q=" << qs[i] << " hist=" << hist_p << " exact=" << exact;
   }
-}
-
-TEST(LatencyWindow, PercentilesFromOneSnapshotMatchSingleQueries) {
-  serve::LatencyWindow w(128);
-  for (std::uint64_t v = 1; v <= 100; ++v) w.record(v);
-  const std::vector<std::uint64_t> multi = w.percentiles({0, 50, 95, 99, 100});
-  EXPECT_EQ(multi[0], w.percentile(0));
-  EXPECT_EQ(multi[1], w.percentile(50));
-  EXPECT_EQ(multi[2], w.percentile(95));
-  EXPECT_EQ(multi[3], w.percentile(99));
-  EXPECT_EQ(multi[4], w.percentile(100));
-  EXPECT_EQ(multi[1], 50u);   // nearest-rank on 1..100
-  EXPECT_EQ(multi[4], 100u);
 }
 
 TEST(SlowRequestRing, ThresholdAndTopN) {

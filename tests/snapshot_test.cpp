@@ -21,6 +21,7 @@
 
 #include "core/search_environment.hpp"
 #include "io/text_format.hpp"
+#include "protocol_harness.hpp"
 #include "serve/protocol.hpp"
 #include "serve/routing_service.hpp"
 #include "serve/snapshot.hpp"
@@ -29,13 +30,12 @@
 namespace {
 
 using namespace gcr;
+using test::Frame;
+using test::next_frame;
+using test::run_script;
+using test::strip_timing;
+using test::workload_text;
 namespace fs = std::filesystem;
-
-std::string workload_text(std::size_t cells, std::size_t nets,
-                          std::uint64_t seed) {
-  return io::write_layout_string(
-      workload::standard_workload(cells, 512, nets, seed));
-}
 
 /// A per-test temporary directory, removed on destruction.
 struct TempDir {
@@ -64,41 +64,6 @@ serve::PinResponse pin_op(serve::RoutingService& service,
     done->set_value(std::move(r));
   });
   return resp.get();
-}
-
-/// Runs a scripted connection against an existing service and returns
-/// everything it wrote.
-std::string run_on(serve::RoutingService& service, const std::string& script) {
-  std::istringstream in(script);
-  std::ostringstream out;
-  serve::serve_connection(service, in, out);
-  return out.str();
-}
-
-struct Frame {
-  std::string status;
-  std::string body;
-};
-
-Frame next_frame(std::istringstream& in) {
-  Frame f;
-  EXPECT_TRUE(static_cast<bool>(std::getline(in, f.status)));
-  std::istringstream is(f.status);
-  std::string kw;
-  std::size_t nbytes = 0;
-  is >> kw;
-  if (kw == "OK" && (is >> nbytes) && nbytes > 0) {
-    f.body.resize(nbytes);
-    in.read(f.body.data(), static_cast<std::streamsize>(nbytes));
-  }
-  return f;
-}
-
-/// Status line with the run-dependent timing meta chopped off, so two runs
-/// of the same deterministic request compare equal.
-std::string strip_timing(const std::string& status) {
-  const std::size_t pos = status.find(" queue_us=");
-  return pos == std::string::npos ? status : status.substr(0, pos);
 }
 
 /// The first handle a fresh registry mints — deterministic, so protocol
@@ -242,7 +207,7 @@ TEST(SnapshotRestore, RerouteByteIdenticalAcrossRestartWithZeroBuilds) {
         "\n" + "COMMIT " + std::string(kFirstHandle) + " nets=" + all_nets +
         "\nSAVE " + kFirstHandle + " soak.snap\nREROUTE " + kFirstHandle +
         " nets=" + rip + "\nQUIT\n";
-    std::istringstream replies(run_on(service, script));
+    std::istringstream replies(run_script(service, script));
 
     const Frame load = next_frame(replies);
     ASSERT_EQ(load.status.rfind("OK ", 0), 0u) << load.status;
@@ -282,7 +247,7 @@ TEST(SnapshotRestore, RerouteByteIdenticalAcrossRestartWithZeroBuilds) {
   const std::string script = "PIN " + std::string(kFirstHandle) +
                              "\nREROUTE " + kFirstHandle + " nets=" + rip +
                              "\nQUIT\n";
-  std::istringstream replies(run_on(service, script));
+  std::istringstream replies(run_script(service, script));
   const Frame claim = next_frame(replies);
   ASSERT_EQ(claim.status.rfind("OK ", 0), 0u) << claim.status;
   EXPECT_NE(claim.status.find("session=" + key), std::string::npos)
@@ -403,7 +368,7 @@ TEST(PinProtocol, LifecycleOverTheWire) {
       "UNPIN " + handle + "\n" +
       "COMMIT " + handle + " nets=" + n0 + "\n" +  // gone after UNPIN
       "QUIT\n";
-  std::istringstream replies(run_on(service, script));
+  std::istringstream replies(run_script(service, script));
 
   (void)next_frame(replies);  // LOAD
   const Frame pin = next_frame(replies);
@@ -472,7 +437,7 @@ TEST(PinProtocol, CommitAllRoutesLikeSequentialRoute) {
       "LOAD " + std::to_string(text.size()) + "\n" + text + "ROUTE " + key +
       " mode=sequential\nPIN " + key + "\nCOMMIT " + kFirstHandle +
       " nets=" + all_nets + "\nQUIT\n";
-  std::istringstream replies(run_on(service, script));
+  std::istringstream replies(run_script(service, script));
 
   (void)next_frame(replies);  // LOAD
   const Frame route = next_frame(replies);
@@ -548,12 +513,12 @@ TEST(PinProtocol, DisconnectAutoReleases) {
   opts.workers = 1;
   serve::RoutingService service(opts);
 
-  // The connection ends (EOF) without UNPIN; serve_connection's exit path
-  // must release the pin through the owner token.
+  // The connection ends (EOF) without UNPIN; closing it must release the
+  // pin through the owner token.
   const std::string script =
       "LOAD " + std::to_string(text.size()) + "\n" + text + "PIN " + key +
       "\n";
-  std::istringstream replies(run_on(service, script));
+  std::istringstream replies(run_script(service, script));
   (void)next_frame(replies);
   const Frame pin = next_frame(replies);
   ASSERT_EQ(pin.status.rfind("OK 0 ", 0), 0u) << pin.status;
@@ -610,7 +575,7 @@ TEST(Protocol, HelloAdvertisesVerbTable) {
   serve::RoutingService::Options opts;
   opts.workers = 1;
   serve::RoutingService service(opts);
-  std::istringstream replies(run_on(service, "HELLO\nQUIT\n"));
+  std::istringstream replies(run_script(service, "HELLO\nQUIT\n"));
   const Frame hello = next_frame(replies);
   ASSERT_EQ(hello.status.rfind("OK ", 0), 0u) << hello.status;
   EXPECT_NE(hello.status.find("version=2"), std::string::npos)

@@ -87,6 +87,32 @@ TEST(ObstacleIndex, SegmentBlockedMatchesPierces) {
       geom::Segment{Point{0, 10}, Point{100, 10}}));
 }
 
+TEST(ObstacleIndex, ZeroAreaObstacleBlocksNothing) {
+  // A wire halo of 0 commits a zero-width rectangle: all boundary, no
+  // interior.  Tracing, routability, segment blocking and the free-space
+  // labels must all treat it as free space.
+  const spatial::ObstacleIndex idx(Rect{0, 0, 10, 10},
+                                   {Rect{5, 0, 5, 10}, Rect{2, 7, 8, 7}});
+  const auto east = idx.trace(Point{0, 5}, Dir::kEast);
+  EXPECT_EQ(east.stop, 10);
+  EXPECT_FALSE(east.obstacle.has_value());
+  const auto north = idx.trace(Point{4, 0}, Dir::kNorth);
+  EXPECT_EQ(north.stop, 10);
+  EXPECT_FALSE(north.obstacle.has_value());
+  EXPECT_TRUE(idx.routable(Point{5, 5}));
+  EXPECT_TRUE(idx.routable(Point{6, 5}));
+  EXPECT_FALSE(idx.segment_blocked(geom::Segment{Point{0, 5}, Point{10, 5}}));
+  EXPECT_FALSE(idx.segment_blocked(geom::Segment{Point{4, 0}, Point{4, 10}}));
+  const auto& labels = idx.components();
+  EXPECT_NE(labels.label(Point{0, 5}), spatial::FreeSpaceComponents::kNone);
+  EXPECT_EQ(labels.label(Point{0, 5}), labels.label(Point{6, 5}));
+  EXPECT_EQ(labels.label(Point{4, 0}), labels.label(Point{4, 10}));
+
+  spatial::ObstacleIndex grown(Rect{0, 0, 10, 10}, {});
+  grown.insert(Rect{5, 0, 5, 10});
+  EXPECT_EQ(grown.trace(Point{0, 5}, Dir::kEast).stop, 10);
+}
+
 TEST(ObstacleIndex, OnBoundaryIgnoresRemovedObstacles) {
   // A ripped-up halo's rim is no longer a hugging point: the tombstoned
   // index answers like one rebuilt without it, before and after compact.
