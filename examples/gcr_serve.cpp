@@ -228,6 +228,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(total.reads_suspended),
                  static_cast<unsigned long long>(total.dropped_slow),
                  static_cast<unsigned long long>(total.dropped_error));
+    // A served descriptor pair is the only connection, so losing it to an
+    // I/O error is the run's outcome.  A listener drains to exit 0 however
+    // many of its clients failed.
+    if (!network && total.dropped_error > 0) return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gcr_serve: fatal: %s\n", e.what());
     return 1;

@@ -29,6 +29,10 @@ GridlessSpace::GridlessSpace(const spatial::ObstacleIndex& obstacles,
 
 void GridlessSpace::successors(const State& s,
                                std::vector<search::Successor<State>>& out) const {
+  // Landing coordinates of the current probe, ascending.  One buffer per
+  // thread outlives every space, so a warm thread's probes allocate
+  // nothing.
+  thread_local std::vector<Coord> cands;
   // A state reached by a probe only turns.  Reversing revisits points the
   // incoming probe already generated.  Going straight on re-probes the
   // incoming ray: the parent's probe had the same stop and a superset of
@@ -46,18 +50,19 @@ void GridlessSpace::successors(const State& s,
     if (hit.stop == origin) continue;  // hugging a wall: zero extent
 
     // Candidate landing coordinates along the ray, ascending and distinct
-    // (the emission order the heap's FIFO tie-break depends on): escape-line
-    // crossings, goal-aligned projections, and the stop itself.  Crossings
-    // arrive in travel order, so a westward or southward probe reverses
-    // them; the rest are inserted in place.
-    cands_.clear();
+    // (the emission order, which the heap's push-order tie-break among
+    // equal f and g depends on): escape-line crossings, goal-aligned
+    // projections, and the stop itself.  Crossings arrive in travel order,
+    // so a westward or southward probe reverses them; the rest are inserted
+    // in place.
+    cands.clear();
     if (mode_ == SuccessorMode::kFull) {
-      lines_.crossings(s.p, d, hit.stop, cands_);
-      if (sign_of(d) < 0) std::reverse(cands_.begin(), cands_.end());
+      lines_.crossings(s.p, d, hit.stop, cands);
+      if (sign_of(d) < 0) std::reverse(cands.begin(), cands.end());
     }
-    const auto insert_sorted = [this](Coord c) {
-      const auto at = std::lower_bound(cands_.begin(), cands_.end(), c);
-      if (at == cands_.end() || *at != c) cands_.insert(at, c);
+    const auto insert_sorted = [](Coord c) {
+      const auto at = std::lower_bound(cands.begin(), cands.end(), c);
+      if (at == cands.end() || *at != c) cands.insert(at, c);
     };
     const Coord lo = std::min(origin, hit.stop);
     const Coord hi = std::max(origin, hit.stop);
@@ -67,7 +72,7 @@ void GridlessSpace::successors(const State& s,
     }
     insert_sorted(hit.stop);
 
-    for (const Coord c : cands_) {
+    for (const Coord c : cands) {
       Point q = s.p;
       q.along(ax) = c;
       geom::Cost edge = geom::coord_abs_diff(c, origin) * kCostScale;
@@ -109,20 +114,22 @@ std::vector<Point> compress_path(const std::vector<RouteState>& states) {
     if (!pts.empty() && pts.back() == s.p) continue;
     pts.push_back(s.p);
   }
-  // Merge colinear runs into single bend-to-bend segments.
-  std::vector<Point> out;
-  for (const Point& p : pts) {
-    while (out.size() >= 2) {
-      const Point& a = out[out.size() - 2];
-      const Point& b = out.back();
+  // Merge colinear runs into single bend-to-bend segments, in place: the
+  // kept prefix pts[0, kept) never overtakes the point being read.
+  std::size_t kept = 0;
+  for (const Point p : pts) {
+    while (kept >= 2) {
+      const Point& a = pts[kept - 2];
+      const Point& b = pts[kept - 1];
       const bool colinear = (a.x == b.x && b.x == p.x) ||
                             (a.y == b.y && b.y == p.y);
       if (!colinear) break;
-      out.pop_back();
+      --kept;
     }
-    out.push_back(p);
+    pts[kept++] = p;
   }
-  return out;
+  pts.resize(kept);
+  return pts;
 }
 
 geom::Cost polyline_length(const std::vector<Point>& pts) {
@@ -138,14 +145,14 @@ namespace {
 Route run_search(const GridlessSpace& space, const std::vector<Point>& sources,
                  const RouteOptions& opts) {
   Route out;
-  std::vector<RouteState> starts;
-  starts.reserve(sources.size());
-  for (const Point& p : sources) starts.push_back(RouteState{p, kNoDir});
-
-  // One warm searcher per thread: its tables outlive the search, so
-  // steady-state searches allocate nothing, and daemon workers and batch
-  // threads never share one (a Searcher runs one search at a time).
+  // One warm searcher (and start list) per thread: its tables outlive the
+  // search, so steady-state searches allocate nothing, and daemon workers
+  // and batch threads never share one (a Searcher runs one search at a
+  // time).
   thread_local search::Searcher<GridlessSpace> searcher;
+  thread_local std::vector<RouteState> starts;
+  starts.clear();
+  for (const Point& p : sources) starts.push_back(RouteState{p, kNoDir});
   search::SearchOptions sopts;
   sopts.strategy = opts.strategy;
   sopts.max_expansions = opts.max_expansions;

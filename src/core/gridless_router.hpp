@@ -60,8 +60,7 @@ enum class SuccessorMode : std::uint8_t {
 /// Search-space adapter over the routing plane.  States are (point, incoming
 /// direction) pairs; goals are an explicit set of points (a pin, or every
 /// pin of every yet-unconnected terminal during Steiner construction), kept
-/// sorted and deduplicated.  `successors` fills a member candidate buffer,
-/// so one space serves one search at a time.
+/// sorted and deduplicated.
 class GridlessSpace {
  public:
   using State = RouteState;
@@ -93,9 +92,6 @@ class GridlessSpace {
   std::vector<geom::Point> goals_;
   const CostModel* cost_;  // nullable: pure wirelength
   SuccessorMode mode_;
-  /// Landing coordinates of the current probe, ascending; reused across
-  /// successors calls.
-  mutable std::vector<geom::Coord> cands_;
 };
 
 /// Options for a single connection search.

@@ -93,13 +93,18 @@ NetRoute SteinerNetRouter::route_terminals(
 
   // Seed the tree with the first terminal's pins (all of them: a multi-pin
   // terminal is internally connected by its cell).
-  std::vector<Point> connected_pins = terminals[0];
-  std::vector<bool> joined(terminals.size(), false);
-  joined[0] = true;
+  thread_local ConnectScratch scratch;
+  std::vector<Point>& connected_pins = scratch.connected_pins;
+  connected_pins.assign(terminals[0].begin(), terminals[0].end());
+  std::vector<char>& joined = scratch.joined;
+  joined.assign(terminals.size(), 0);
+  joined[0] = 1;
+  std::vector<Segment>& tree = scratch.tree;
+  tree.clear();
   std::size_t remaining = terminals.size() - 1;
 
   out.ok = true;
-  ConnectScratch scratch;  // buffers live across the tree-growth steps
+  out.connections.reserve(remaining);
   while (remaining > 0) {
     scratch.goals.clear();
     for (std::size_t t = 0; t < terminals.size(); ++t) {
@@ -107,8 +112,7 @@ NetRoute SteinerNetRouter::route_terminals(
       scratch.goals.insert(scratch.goals.end(), terminals[t].begin(),
                            terminals[t].end());
     }
-    connection_points(scratch, connected_pins, out.segments,
-                      opts.connect_to_segments);
+    connection_points(scratch, connected_pins, tree, opts.connect_to_segments);
 
     Route conn = router_.route_set(scratch.sources, scratch.goals, opts.route);
     out.stats += conn.stats;
@@ -131,10 +135,10 @@ NetRoute SteinerNetRouter::route_terminals(
     assert(hit_term < terminals.size() && "goal must belong to some terminal");
 
     for (std::size_t i = 0; i + 1 < conn.points.size(); ++i) {
-      out.segments.emplace_back(conn.points[i], conn.points[i + 1]);
+      tree.emplace_back(conn.points[i], conn.points[i + 1]);
     }
     out.wirelength += conn.length;
-    joined[hit_term] = true;
+    joined[hit_term] = 1;
     --remaining;
     // "all the pins which are associated with the newly connected terminal
     // are brought into the connected set."
@@ -142,6 +146,7 @@ NetRoute SteinerNetRouter::route_terminals(
                           terminals[hit_term].end());
     out.connections.push_back(std::move(conn));
   }
+  out.segments.assign(tree.begin(), tree.end());
   return out;
 }
 

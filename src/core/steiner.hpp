@@ -63,17 +63,19 @@ class SteinerNetRouter {
   }
 
  private:
-  /// Reusable workspace for one route_terminals call: connection_points
-  /// used to rebuild a dedup hash set, a source vector, and a goal vector
-  /// on *every* tree-growth step, and those steps are the hot path of
-  /// every multi-terminal net (and, via the serving layer, of every
-  /// request).  Carrying the buffers across steps keeps their capacity
-  /// instead of reallocating per step.  Local to each call, so the router
-  /// itself stays const-shared across the batch driver's threads.
+  /// Workspace of route_terminals: the tree being grown and the sources
+  /// and goals rebuilt on *every* tree-growth step, the hot path of every
+  /// multi-terminal net (and, via the serving layer, of every request).
+  /// One instance per thread keeps its capacity across steps and nets, so
+  /// a warm thread grows a tree without reallocating, and the router itself
+  /// stays const-shared across the batch driver's threads.
   struct ConnectScratch {
     std::vector<geom::Point> sources;
     std::vector<geom::Point> goals;
     std::vector<geom::Coord> crossings;
+    std::vector<geom::Point> connected_pins;
+    std::vector<char> joined;  ///< per terminal: already in the tree
+    std::vector<geom::Segment> tree;
   };
 
   /// The finite realization of "all line segments are potential connection

@@ -22,7 +22,8 @@ struct SearchStats {
   /// Nodes moved back from CLOSED to OPEN because a shorter path was found —
   /// the paper's re-pointing case.
   std::size_t nodes_reopened = 0;
-  /// High-water mark of the OPEN list (memory proxy).
+  /// High-water mark of the OPEN list (memory proxy): open nodes, each
+  /// queued once (a blind search also counts a duplicate start twice).
   std::size_t max_open_size = 0;
   /// True when the run hit the expansion cap before exhausting OPEN.
   bool aborted = false;

@@ -8,6 +8,12 @@
 //     found, cost, path, expansions, reopenings, the OPEN high-water mark and
 //     the abort flag must be equal, and the pruned search may generate no
 //     more successors;
+//   - the searcher's indexed OPEN heap against the lazy-deletion heap it
+//     replaced (tests/reference_searcher.hpp), on the same queries: under
+//     the same tie rule every search decision must be equal, and under the
+//     historical FIFO tie rule whether a goal is reached and, for
+//     admissible strategies, at what cost; the same on the Lee–Moore grid
+//     space over the same layouts;
 //   - the CostModel contract the pruning relies on (cost_model.hpp):
 //     penalties are subadditive along a straight probe and depend on the
 //     incoming direction only through whether the move bends.
@@ -29,7 +35,9 @@
 #include "core/search_environment.hpp"
 #include "core/steiner.hpp"
 #include "fuzz_env.hpp"
+#include "grid/lee_moore.hpp"
 #include "reference_gridless_space.hpp"
+#include "reference_searcher.hpp"
 #include "search/searcher.hpp"
 #include "workload/floorplan.hpp"
 #include "workload/netgen.hpp"
@@ -131,11 +139,18 @@ class Differ {
     ASSERT_LE(got.stats.nodes_generated, want.stats.nodes_generated) << what;
     generated += got.stats.nodes_generated;
     reference_generated += want.stats.nodes_generated;
+
+    const auto lazy = lazy_.run(space, starts, opts);
+    ASSERT_EQ(test::order_mismatch(got, lazy), "") << what;
+    const auto fifo = fifo_.run(space, starts, opts);
+    ASSERT_EQ(test::tie_rule_mismatch(got, fifo, opts.strategy), "") << what;
   }
 
  private:
   search::Searcher<route::GridlessSpace> pruned_;
   search::Searcher<test::ReferenceGridlessSpace> reference_;
+  test::ReferenceSearcher<route::GridlessSpace, test::LargerGTie> lazy_;
+  test::ReferenceSearcher<route::GridlessSpace, test::FifoTie> fifo_;
 };
 
 /// A routable point: a pin when \p pins has one that is still routable,
@@ -253,6 +268,47 @@ TEST_P(GridlessSpaceFuzz, PrunedSearchMatchesReferenceAcrossCommitsAndRipUps) {
     committed.push_back(next_id++);
   }
   EXPECT_LE(differ.generated, differ.reference_generated);
+}
+
+TEST_P(GridlessSpaceFuzz, IndexedHeapMatchesLazyHeapOnTheGrid) {
+  // Unit-cost grid moves tie at every f, the case the tie rule is about.
+  const std::uint64_t seed = GetParam();
+  const layout::Layout lay = fuzz_layout(seed + 300);
+  const route::SearchEnvironment env(lay);
+  const grid::GridGraph graph(env.index(), 4);
+  const std::vector<Point> pins = all_pins(lay);
+  std::mt19937_64 rng(seed * 7727 + 13);
+  search::Searcher<grid::GridRouteSpace> indexed;
+  test::ReferenceSearcher<grid::GridRouteSpace, test::LargerGTie> lazy;
+  test::ReferenceSearcher<grid::GridRouteSpace, test::FifoTie> fifo;
+  const auto snapped = [&] {
+    const Point p = pick_point(rng, env.index(), pins);
+    return graph.snap(p).value_or(graph.nearest(p));
+  };
+  const int queries = test::fuzz_iters(150) / 3 + 1;
+  for (int q = 0; q < queries; ++q) {
+    std::vector<grid::GridPoint> starts, goals;
+    for (std::size_t i = 0, n = 1 + rng() % 3; i < n; ++i) {
+      starts.push_back(snapped());
+    }
+    for (std::size_t i = 0, n = 1 + rng() % 2; i < n; ++i) {
+      goals.push_back(snapped());
+    }
+    const grid::GridRouteSpace space(graph, goals);
+    SearchOptions opts;
+    opts.strategy = kStrategies[rng() % std::size(kStrategies)];
+    if (rng() % 8 == 0) opts.max_expansions = 1 + rng() % 2000;
+    const std::string what = "seed " + std::to_string(seed) + " query " +
+                             std::to_string(q) + " strategy " +
+                             std::string(search::to_string(opts.strategy));
+    const auto got = indexed.run(space, starts, opts);
+    ASSERT_EQ(test::order_mismatch(got, lazy.run(space, starts, opts)), "")
+        << what;
+    ASSERT_EQ(test::tie_rule_mismatch(got, fifo.run(space, starts, opts),
+                                      opts.strategy),
+              "")
+        << what;
+  }
 }
 
 /// A random probe on \p index: a from-state (any incoming direction, or a

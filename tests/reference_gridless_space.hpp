@@ -66,10 +66,11 @@ class ReferenceGridlessSpace {
       if (hit.stop == origin) continue;  // hugging a wall: zero extent
 
       // Candidate landing coordinates along the ray, ascending and distinct
-      // (the emission order the heap's FIFO tie-break depends on):
-      // escape-line crossings, goal-aligned projections, and the stop
-      // itself.  Crossings arrive in travel order, so a westward or
-      // southward probe reverses them; the rest are inserted in place.
+      // (the emission order, which the heap's push-order tie-break among
+      // equal f and g depends on): escape-line crossings, goal-aligned
+      // projections, and the stop itself.  Crossings arrive in travel
+      // order, so a westward or southward probe reverses them; the rest are
+      // inserted in place.
       cands_.clear();
       if (mode_ == route::SuccessorMode::kFull) {
         lines_.crossings(s.p, d, hit.stop, cands_);

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference_searcher.hpp"
 #include "search/searcher.hpp"
 
 namespace {
@@ -111,8 +112,9 @@ TEST(Searcher, ReopensClosedNodeOnShorterPath) {
   g.edges["b"] = {{"a", 2}};
   g.goal = "t";
   // h(b) chosen so b is expanded after a closes but before the goal pops
-  // (f(a)=10 ties f(b)=10; FIFO tie-break expands a first, then t enters
-  // OPEN at f=11, then b expands at f=10 and reveals the shortcut to a).
+  // (f(a)=10 ties f(b)=10; the tie goes to the larger g, so a expands
+  // first, then t enters OPEN at f=11, then b expands at f=10 and reveals
+  // the shortcut to a).
   g.h = {{"s", 0}, {"a", 0}, {"b", 9}, {"t", 0}};
   const auto r = search::find_path(g, std::string("s"),
                                    SearchOptions{.strategy = Strategy::kAStar});
@@ -293,6 +295,52 @@ TEST(Searcher, ReusedSearcherCarriesNoStateBetweenRuns) {
               ? search::find_path(*c.space, c.starts.front(), c.opts)
               : search::Searcher<GraphSpace>{}.run(*c.space, c.starts, c.opts);
       expect_same_result(got, want, c.what);
+    }
+  }
+}
+
+TEST(Searcher, IndexedHeapMatchesLazyHeapOnHandBuiltGraphs) {
+  // The reopening case (inconsistent h), greedy misled by h, a goal reached
+  // twice at falling g (its open entry is re-keyed), and a grid whose
+  // uneven weights re-key many open nodes; most repeat a start.
+  GraphSpace reopen;
+  reopen.edges["s"] = {{"a", 10}, {"b", 1}};
+  reopen.edges["a"] = {{"t", 1}};
+  reopen.edges["b"] = {{"a", 2}};
+  reopen.goal = "t";
+  reopen.h = {{"s", 0}, {"a", 0}, {"b", 9}, {"t", 0}};
+  GraphSpace misled = diamond();
+  misled.h = {{"s", 2}, {"a", 1}, {"b", 100}, {"t", 0}};
+  const GraphSpace dia = diamond();
+  const GraphSpace grid = weighted_grid(12, 12);
+  struct Case {
+    std::string what;
+    const GraphSpace* space;
+    std::vector<std::string> starts;
+  };
+  const std::vector<Case> cases = {
+      {"reopening", &reopen, {"s", "s"}},
+      {"misled", &misled, {"s"}},
+      {"diamond", &dia, {"s", "a", "s"}},
+      {"grid", &grid, {"0,0", "5,9", "0,0"}},
+  };
+  search::Searcher<GraphSpace> indexed;
+  test::ReferenceSearcher<GraphSpace, test::LargerGTie> lazy;
+  test::ReferenceSearcher<GraphSpace, test::FifoTie> fifo;
+  for (const Case& c : cases) {
+    for (const Strategy s :
+         {Strategy::kAStar, Strategy::kExhaustive, Strategy::kBestFirst,
+          Strategy::kGreedy, Strategy::kBreadthFirst, Strategy::kDepthFirst}) {
+      const SearchOptions opts{.strategy = s};
+      const std::string what = c.what + " " + std::string(to_string(s));
+      const auto got = indexed.run(*c.space, c.starts, opts);
+      EXPECT_EQ(test::order_mismatch(got, lazy.run(*c.space, c.starts, opts)),
+                "")
+          << what;
+      EXPECT_EQ(test::tie_rule_mismatch(
+                    got, fifo.run(*c.space, c.starts, opts), s),
+                "")
+          << what;
     }
   }
 }

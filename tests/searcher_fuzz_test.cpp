@@ -1,6 +1,7 @@
 // Randomized cross-validation of the generic search engine against a
-// textbook reference Dijkstra on random weighted digraphs, plus consistency
-// properties between strategies.
+// textbook reference Dijkstra on random weighted digraphs, consistency
+// properties between strategies, and the indexed OPEN heap against the
+// lazy-deletion heap it replaced (tests/reference_searcher.hpp).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "fuzz_env.hpp"
+#include "reference_searcher.hpp"
 #include "search/searcher.hpp"
 
 namespace {
@@ -72,6 +74,19 @@ RandomGraph make_graph(std::uint64_t seed, int n, int out_degree,
   return g;
 }
 
+/// Exact distance from every node to \p g's goal.
+std::vector<geom::Cost> distance_to_goal(const RandomGraph& g) {
+  RandomGraph rev = g;
+  for (auto& v : rev.adj) v.clear();
+  for (std::size_t u = 0; u < g.adj.size(); ++u) {
+    for (const auto& e : g.adj[u]) {
+      rev.adj[static_cast<std::size_t>(e.state)].push_back(
+          {static_cast<int>(u), e.cost});
+    }
+  }
+  return dijkstra_reference(rev, g.goal);
+}
+
 class SearcherFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SearcherFuzz, BestFirstMatchesReferenceDijkstra) {
@@ -91,14 +106,7 @@ TEST_P(SearcherFuzz, BestFirstMatchesReferenceDijkstra) {
 TEST_P(SearcherFuzz, AStarWithAdmissibleHMatchesDijkstra) {
   RandomGraph g = make_graph(GetParam() + 1000, 60, 3, 9);
   // Admissible h: exact distance-to-goal on the reversed graph, scaled down.
-  RandomGraph rev = g;
-  for (auto& v : rev.adj) v.clear();
-  for (int u = 0; u < 60; ++u) {
-    for (const auto& e : g.adj[static_cast<std::size_t>(u)]) {
-      rev.adj[static_cast<std::size_t>(e.state)].push_back({u, e.cost});
-    }
-  }
-  const auto to_goal = dijkstra_reference(rev, g.goal);
+  const auto to_goal = distance_to_goal(g);
   g.h.resize(60);
   for (int u = 0; u < 60; ++u) {
     const geom::Cost d = to_goal[static_cast<std::size_t>(u)];
@@ -152,6 +160,59 @@ TEST_P(SearcherFuzz, PathCostsAreSelfConsistent) {
     // expensive) parallel edge; the recomputed minimum is a lower bound.
     EXPECT_LE(total, r.cost) << to_string(s);
   }
+}
+
+TEST_P(SearcherFuzz, IndexedHeapMatchesLazyHeap) {
+  // Zero-cost edges and small weights make ties at equal f common; the
+  // inconsistent heuristics make closed nodes reopen and open ones re-key.
+  constexpr Strategy kAll[] = {
+      Strategy::kAStar,  Strategy::kExhaustive,   Strategy::kBestFirst,
+      Strategy::kGreedy, Strategy::kBreadthFirst, Strategy::kDepthFirst};
+  std::mt19937_64 rng(GetParam() * 6364136223846793005ULL + 17);
+  search::Searcher<RandomGraph> indexed;
+  test::ReferenceSearcher<RandomGraph, test::LargerGTie> lazy;
+  test::ReferenceSearcher<RandomGraph, test::FifoTie> fifo;
+  std::size_t reopened = 0;
+  for (int round = 0, rounds = test::fuzz_iters(60); round < rounds; ++round) {
+    const int n = 20 + static_cast<int>(rng() % 60);
+    RandomGraph g = make_graph(rng(), n, 1 + static_cast<int>(rng() % 4),
+                               static_cast<geom::Cost>(rng() % 10));
+    const auto to_goal = distance_to_goal(g);
+    // h: none, admissible but inconsistent (a random fraction of the true
+    // distance), or, for greedy only, arbitrary.
+    const Strategy strategy = kAll[rng() % std::size(kAll)];
+    const bool greedy = strategy == Strategy::kGreedy;
+    const int h_kind = static_cast<int>(rng() % (greedy ? 3 : 2));
+    if (h_kind > 0) {
+      g.h.resize(static_cast<std::size_t>(n));
+      for (std::size_t u = 0; u < g.h.size(); ++u) {
+        const geom::Cost d = to_goal[u] >= geom::kCostInf ? 0 : to_goal[u];
+        g.h[u] = h_kind == 1 ? d * static_cast<geom::Cost>(rng() % 5) / 4
+                             : static_cast<geom::Cost>(rng() % 40);
+      }
+    }
+    std::vector<int> starts;  // duplicates allowed
+    for (std::size_t i = 0, k = 1 + rng() % 3; i < k; ++i) {
+      starts.push_back(static_cast<int>(rng() % static_cast<unsigned>(n)));
+    }
+    SearchOptions opts;
+    opts.strategy = strategy;
+    if (rng() % 5 == 0) opts.max_expansions = 1 + rng() % 30;
+    if (strategy == Strategy::kDepthFirst) opts.depth_limit = rng() % 8;
+    const std::string what = "seed " + std::to_string(GetParam()) +
+                             " round " + std::to_string(round) + " " +
+                             std::string(search::to_string(strategy)) +
+                             " h kind " + std::to_string(h_kind);
+    const auto got = indexed.run(g, starts, opts);
+    ASSERT_EQ(test::order_mismatch(got, lazy.run(g, starts, opts)), "")
+        << what;
+    ASSERT_EQ(test::tie_rule_mismatch(got, fifo.run(g, starts, opts),
+                                      strategy),
+              "")
+        << what;
+    reopened += got.stats.nodes_reopened;
+  }
+  EXPECT_GT(reopened, 0u);  // the reopening path was exercised
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,7 +1,8 @@
 # Serves SCRIPT with gcr_serve twice — stdin and stdout redirected to
 # regular files, then through pipes — and requires the same replies once
 # the timing values are masked.  epoll refuses regular files, so the first
-# run exercises the front-end's no-wait path for them.
+# run exercises the front-end's no-wait path for them.  A third run serves
+# `--fd 0` on a pipe, which cannot be written, and must exit non-zero.
 #
 #   cmake -DSERVER=<gcr_serve> -DSCRIPT=<script> -DWORK=<dir> \
 #         -P serve_stdio.cmake
@@ -16,6 +17,17 @@ file(READ ${WORK}/replies_file.txt filed)
 if(NOT file_rc EQUAL 0 OR NOT pipe_rcs STREQUAL "0;0")
   message(FATAL_ERROR "gcr_serve exited with ${file_rc} (files) and "
                       "${pipe_rcs} (pipe)")
+endif()
+
+# A connection lost to an I/O error fails the run: with --fd 0 on a pipe
+# every reply goes to the pipe's read end, so the first write fails.
+execute_process(COMMAND ${CMAKE_COMMAND} -E cat ${SCRIPT}
+  COMMAND ${SERVER} --fd 0
+  OUTPUT_QUIET ERROR_VARIABLE broken_err RESULTS_VARIABLE broken_rcs)
+list(GET broken_rcs 1 broken_rc)
+if(broken_rc EQUAL 0 OR NOT broken_err MATCHES "1 dropped error")
+  message(FATAL_ERROR "gcr_serve --fd 0 on a pipe exited with "
+                      "'${broken_rc}':\n${broken_err}")
 endif()
 
 # The script must really have routed and counted: a wrong session key
