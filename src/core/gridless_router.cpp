@@ -1,6 +1,8 @@
 #include "core/gridless_router.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -14,6 +16,121 @@ using geom::Coord;
 using geom::Dir;
 using geom::Point;
 
+namespace {
+
+/// The free runs one space's searches have probed (see the file comment in
+/// gridless_router.hpp).  One memo per thread, like the searcher's tables:
+/// it holds the runs of the space whose id it carries, and the first probe
+/// by another space clears it, touching only the slots that were used, so
+/// a warm thread allocates nothing.
+class RunMemo {
+ public:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+  /// A maximal free run of one track: the stops of the two rays along it.
+  struct Run {
+    Coord lo;              // west or south stop
+    Coord hi;              // east or north stop
+    std::uint32_t first;   // its crossings, ascending: crossings_[first, last)
+    std::uint32_t last;
+    std::uint32_t next;    // the track's next run, or kNone
+  };
+
+  /// The key of the track along \p ax through perpendicular coordinate
+  /// \p off.  Coordinates stay far inside +-2^62, so the shift loses
+  /// nothing.
+  [[nodiscard]] static std::uint64_t key(Axis ax, Coord off) noexcept {
+    return (static_cast<std::uint64_t>(off) << 1) |
+           static_cast<std::uint64_t>(ax == Axis::kY);
+  }
+
+  /// Forgets every run unless they were recorded for space \p owner.
+  void claim(std::uint64_t owner) {
+    if (owner == owner_) return;
+    owner_ = owner;
+    for (const Track& t : tracks_) slots_[t.slot] = kNone;
+    tracks_.clear();
+    runs_.clear();
+    crossings_.clear();
+  }
+
+  /// The recorded run of track \p k that contains \p origin, or nullptr.
+  [[nodiscard]] const Run* find(std::uint64_t k, Coord origin) const {
+    const std::uint32_t t = slots_[slot_of(k)];
+    if (t == kNone) return nullptr;
+    for (std::uint32_t r = tracks_[t].head; r != kNone; r = runs_[r].next) {
+      if (runs_[r].lo <= origin && origin <= runs_[r].hi) return &runs_[r];
+    }
+    return nullptr;
+  }
+
+  /// The crossings arena: a miss appends its run's crossings here, then
+  /// calls `record`.
+  [[nodiscard]] std::vector<Coord>& crossings() noexcept { return crossings_; }
+
+  /// Records the run [\p lo, \p hi] of track \p k, whose crossings are
+  /// those appended to `crossings()` since the previous record.
+  const Run& record(std::uint64_t k, Coord lo, Coord hi) {
+    std::size_t i = slot_of(k);
+    if (slots_[i] == kNone) {
+      slots_[i] = static_cast<std::uint32_t>(tracks_.size());
+      tracks_.push_back(Track{k, kNone, i});
+      if (2 * tracks_.size() > slots_.size()) grow_slots();
+      i = tracks_.back().slot;
+    }
+    Track& t = tracks_[slots_[i]];
+    const auto first =
+        runs_.empty() ? std::uint32_t{0} : runs_.back().last;
+    runs_.push_back(Run{lo, hi, first,
+                        static_cast<std::uint32_t>(crossings_.size()), t.head});
+    t.head = static_cast<std::uint32_t>(runs_.size() - 1);
+    return runs_.back();
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 256;
+
+  struct Track {
+    std::uint64_t key;
+    std::uint32_t head;  // newest run, or kNone
+    std::size_t slot;    // where slots_ points at this track
+  };
+
+  /// Fibonacci hashing, as in the searcher's slot table.
+  [[nodiscard]] std::size_t slot_of(std::uint64_t k) const {
+    const std::size_t mask = slots_.size() - 1;
+    auto i = static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ULL) >> shift_);
+    while (slots_[i] != kNone && tracks_[slots_[i]].key != k) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  /// Doubles the slot table and re-places every track.
+  void grow_slots() {
+    slots_.assign(2 * slots_.size(), kNone);
+    --shift_;
+    for (std::uint32_t t = 0; t < tracks_.size(); ++t) {
+      const std::size_t i = slot_of(tracks_[t].key);
+      slots_[i] = t;
+      tracks_[t].slot = i;
+    }
+  }
+
+  std::uint64_t owner_ = 0;  // ids start at 1
+  std::vector<std::uint32_t> slots_ =
+      std::vector<std::uint32_t>(kInitialSlots, kNone);
+  int shift_ = 64 - std::countr_zero(kInitialSlots);  // 64 - log2(size)
+  std::vector<Track> tracks_;
+  std::vector<Run> runs_;
+  std::vector<Coord> crossings_;
+};
+
+/// Source of space ids; 0 is never handed out, so a fresh memo owns none.
+std::atomic<std::uint64_t> next_space_id{1};
+
+}  // namespace
+
 GridlessSpace::GridlessSpace(const spatial::ObstacleIndex& obstacles,
                              const spatial::EscapeLineSet& lines,
                              std::vector<Point> goals, const CostModel* cost,
@@ -22,64 +139,90 @@ GridlessSpace::GridlessSpace(const spatial::ObstacleIndex& obstacles,
       lines_(lines),
       goals_(std::move(goals)),
       cost_(cost),
-      mode_(mode) {
+      mode_(mode),
+      id_(next_space_id.fetch_add(1, std::memory_order_relaxed)) {
   std::sort(goals_.begin(), goals_.end());
   goals_.erase(std::unique(goals_.begin(), goals_.end()), goals_.end());
 }
 
 void GridlessSpace::successors(const State& s,
                                std::vector<search::Successor<State>>& out) const {
-  // Landing coordinates of the current probe, ascending.  One buffer per
-  // thread outlives every space, so a warm thread's probes allocate
-  // nothing.
+  assert(obstacles_.boundary().contains(s.p) &&
+         "a state outside the boundary would record a run it does not span");
+  // The runs this space has probed, and the landing coordinates of the
+  // current probe, ascending.  Both live per thread and outlive every
+  // space, so a warm thread's probes allocate nothing.
+  thread_local RunMemo memo;
   thread_local std::vector<Coord> cands;
+  memo.claim(id_);
   // A state reached by a probe only turns.  Reversing revisits points the
   // incoming probe already generated.  Going straight on re-probes the
   // incoming ray: the parent's probe had the same stop and a superset of
   // these crossings and goal projections, so it already offered every
   // landing point beyond s.p, at no greater cost (CostModel's contract).
-  // A start probes all four directions.
+  // A start probes all four directions, in kAllDirs order: east, west,
+  // north, south.
   const bool turns_only = s.in_dir != kNoDir;
   const Axis in_axis =
       turns_only ? axis_of(static_cast<Dir>(s.in_dir)) : Axis::kX;
-  for (const Dir d : geom::kAllDirs) {
-    if (turns_only && axis_of(d) == in_axis) continue;
-    const Axis ax = axis_of(d);
+  constexpr Dir kRays[2][2] = {{Dir::kEast, Dir::kWest},
+                               {Dir::kNorth, Dir::kSouth}};
+  for (const Axis ax : {Axis::kX, Axis::kY}) {
+    if (turns_only && ax == in_axis) continue;
+    const Dir(&rays)[2] = kRays[static_cast<int>(ax)];  // forward, back
     const Coord origin = s.p.along(ax);
-    const spatial::RayHit hit = obstacles_.trace(s.p, d);
-    if (hit.stop == origin) continue;  // hugging a wall: zero extent
-
-    // Candidate landing coordinates along the ray, ascending and distinct
-    // (the emission order, which the heap's push-order tie-break among
-    // equal f and g depends on): escape-line crossings, goal-aligned
-    // projections, and the stop itself.  Crossings arrive in travel order,
-    // so a westward or southward probe reverses them; the rest are inserted
-    // in place.
-    cands.clear();
-    if (mode_ == SuccessorMode::kFull) {
-      lines_.crossings(s.p, d, hit.stop, cands);
-      if (sign_of(d) < 0) std::reverse(cands.begin(), cands.end());
-    }
-    const auto insert_sorted = [](Coord c) {
-      const auto at = std::lower_bound(cands.begin(), cands.end(), c);
-      if (at == cands.end() || *at != c) cands.insert(at, c);
-    };
-    const Coord lo = std::min(origin, hit.stop);
-    const Coord hi = std::max(origin, hit.stop);
-    for (const Point& g : goals_) {
-      const Coord proj = g.along(ax);
-      if (proj != origin && proj >= lo && proj <= hi) insert_sorted(proj);
-    }
-    insert_sorted(hit.stop);
-
-    for (const Coord c : cands) {
-      Point q = s.p;
-      q.along(ax) = c;
-      geom::Cost edge = geom::coord_abs_diff(c, origin) * kCostScale;
-      if (cost_ != nullptr) {
-        edge += cost_->penalty(EdgeContext{obstacles_, s, d, q});
+    const Coord off = s.p.along(geom::other(ax));
+    // Both rays along this axis end where s.p's free run does.  Only a run
+    // not yet probed costs two traces and a crossings scan.
+    const std::uint64_t key = RunMemo::key(ax, off);
+    const RunMemo::Run* run = memo.find(key, origin);
+    if (run == nullptr) {
+      const Coord lo = obstacles_.trace(s.p, rays[1]).stop;
+      const Coord hi = obstacles_.trace(s.p, rays[0]).stop;
+      if (mode_ == SuccessorMode::kFull) {
+        lines_.crossings_in(ax, off, lo, hi, memo.crossings());
       }
-      out.push_back({State{q, static_cast<std::uint8_t>(d)}, edge});
+      run = &memo.record(key, lo, hi);
+    }
+    const auto first = memo.crossings().cbegin() + run->first;
+    const auto last = memo.crossings().cbegin() + run->last;
+
+    for (const Dir d : rays) {
+      const bool forward = sign_of(d) > 0;
+      const Coord stop = forward ? run->hi : run->lo;
+      if (stop == origin) continue;  // hugging a wall: zero extent
+
+      // Candidate landing coordinates along the ray, ascending and distinct
+      // (the emission order, which the heap's push-order tie-break among
+      // equal f and g depends on): the run's escape-line crossings beyond
+      // the origin, then goal-aligned projections and the stop itself,
+      // inserted in place.
+      if (forward) {
+        cands.assign(std::upper_bound(first, last, origin), last);
+      } else {
+        cands.assign(first, std::lower_bound(first, last, origin));
+      }
+      const auto insert_sorted = [](Coord c) {
+        const auto at = std::lower_bound(cands.begin(), cands.end(), c);
+        if (at == cands.end() || *at != c) cands.insert(at, c);
+      };
+      const Coord lo = std::min(origin, stop);
+      const Coord hi = std::max(origin, stop);
+      for (const Point& g : goals_) {
+        const Coord proj = g.along(ax);
+        if (proj != origin && proj >= lo && proj <= hi) insert_sorted(proj);
+      }
+      insert_sorted(stop);
+
+      for (const Coord c : cands) {
+        Point q = s.p;
+        q.along(ax) = c;
+        geom::Cost edge = geom::coord_abs_diff(c, origin) * kCostScale;
+        if (cost_ != nullptr) {
+          edge += cost_->penalty(EdgeContext{obstacles_, s, d, q});
+        }
+        out.push_back({State{q, static_cast<std::uint8_t>(d)}, edge});
+      }
     }
   }
 }

@@ -35,6 +35,23 @@
 /// admissible: it returns a *minimal* route, while typically expanding
 /// orders of magnitude fewer nodes than the Lee–Moore grid (paper Figure 1).
 ///
+/// The rays along one axis from a point end where the point's *free run*
+/// does: the maximal segment [W, E] of its track (the horizontal or
+/// vertical line through it) that no obstacle interior cuts.  Every
+/// routable point q of the track with W <= q <= E has the same two stops,
+/// because a blocker whose near edge lay in [W, E) would put the origin or
+/// q inside that obstacle's interior; and the probe from q crosses the
+/// run's escape lines beyond q.  So each search probes a run once: a
+/// per-thread memo maps a track to the runs recorded on it, each with its
+/// ascending crossings in one flat arena, and a ray from a point inside a
+/// recorded run is two binary searches into those crossings.  Only a miss
+/// pays for two traces and a crossings scan.  Lines and obstacles do not
+/// change while a space is in use, and the memo belongs to one space at a
+/// time (an id drawn at construction), so no space reads runs recorded for
+/// another.  States must lie inside the routing boundary (a Debug assert
+/// checks): a ray from outside it clamps to its origin, so its "run" would
+/// not be one.
+///
 /// The space also names each probed state's dominators for the searcher
 /// (search::HasDominators): at the same point, the twin that arrived from
 /// the opposite side casts the same two rays, and a start casts all four, so
@@ -60,7 +77,9 @@ enum class SuccessorMode : std::uint8_t {
 /// Search-space adapter over the routing plane.  States are (point, incoming
 /// direction) pairs; goals are an explicit set of points (a pin, or every
 /// pin of every yet-unconnected terminal during Steiner construction), kept
-/// sorted and deduplicated.
+/// sorted and deduplicated.  The obstacles and lines must not change while
+/// the space is in use: the run memo keeps what it probed for as long as
+/// the space is the last one this thread searched.
 class GridlessSpace {
  public:
   using State = RouteState;
@@ -92,6 +111,7 @@ class GridlessSpace {
   std::vector<geom::Point> goals_;
   const CostModel* cost_;  // nullable: pure wirelength
   SuccessorMode mode_;
+  std::uint64_t id_;  // owns the thread's run memo while this space probes
 };
 
 /// Options for a single connection search.

@@ -11,7 +11,6 @@ namespace gcr::route {
 
 using geom::Axis;
 using geom::Coord;
-using geom::Dir;
 using geom::Point;
 using geom::Segment;
 
@@ -32,9 +31,9 @@ std::vector<std::vector<Point>> net_terminal_pins(const layout::Layout& lay,
 std::optional<geom::Rect> terminal_bbox(const layout::Layout& lay,
                                         const layout::Net& net) {
   std::optional<geom::Rect> bbox;
-  for (const auto& pins : net_terminal_pins(lay, net)) {
-    for (const Point& p : pins) {
-      bbox = bbox ? bbox->hull(p) : geom::Rect{p, p};
+  for (const layout::TerminalRef& ref : net.terminals()) {
+    for (const layout::Pin& p : lay.terminal(ref).pins) {
+      bbox = bbox ? bbox->hull(p.pos) : geom::Rect{p.pos, p.pos};
     }
   }
   return bbox;
@@ -58,11 +57,11 @@ void SteinerNetRouter::connection_points(
       // Escape-line crossings along the segment: the departure points the
       // line search could use anyway, realized as explicit sources.
       const Axis ax = s.axis();
-      const Dir d = s.b.along(ax) > s.a.along(ax)
-                        ? (ax == Axis::kX ? Dir::kEast : Dir::kNorth)
-                        : (ax == Axis::kX ? Dir::kWest : Dir::kSouth);
       scratch.crossings.clear();
-      lines_.crossings(s.a, d, s.b.along(ax), scratch.crossings);
+      lines_.crossings_in(ax, s.a.along(geom::other(ax)),
+                          std::min(s.a.along(ax), s.b.along(ax)),
+                          std::max(s.a.along(ax), s.b.along(ax)),
+                          scratch.crossings);
       for (const Coord c : scratch.crossings) {
         Point q = s.a;
         q.along(ax) = c;
@@ -153,7 +152,17 @@ NetRoute SteinerNetRouter::route_terminals(
 NetRoute SteinerNetRouter::route_net(const layout::Layout& lay,
                                      const layout::Net& net,
                                      const SteinerOptions& opts) const {
-  return route_terminals(net_terminal_pins(lay, net), opts);
+  // The pin lists live per thread and keep their capacity, so a warm
+  // thread resolves a net's pins without allocating.
+  thread_local std::vector<std::vector<Point>> terminals;
+  terminals.resize(net.terminals().size());
+  for (std::size_t t = 0; t < terminals.size(); ++t) {
+    terminals[t].clear();
+    for (const layout::Pin& p : lay.terminal(net.terminals()[t]).pins) {
+      terminals[t].push_back(p.pos);
+    }
+  }
+  return route_terminals(terminals, opts);
 }
 
 }  // namespace gcr::route

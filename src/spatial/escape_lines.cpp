@@ -168,16 +168,17 @@ void EscapeLineSet::insert_obstacle(const ObstacleIndex& index,
          "line set out of step with the index it was built from");
   const Rect& r = index.obstacles()[ob];
 
-  // Re-trace the existing lines the new interior can cut.  A trace result
-  // changes only if the new obstacle blocks the ray strictly earlier, which
-  // requires the line's track to lie strictly inside the newcomer's
-  // perpendicular open span and the new near edge to fall inside the old
-  // span — so candidates are a binary-searched track range whose spans touch
-  // the newcomer.  Re-tracing a candidate that did not actually change is
-  // idempotent.  Boundary lines are exempt by construction (see ctor).
+  // Clip the existing lines the new interior cuts, in closed form.  A
+  // line's span is the stops of two traces from its source edge's corners,
+  // and the newcomer blocks such a trace only when the line's track lies
+  // strictly inside its perpendicular open span and its near edge is at or
+  // past the corner.  The span was exact, so the new trace stops at the
+  // nearer of the old stop and that near edge: no tracing is needed.  A
+  // zero-area newcomer has no interior and clips nothing; boundary lines
+  // are exempt by construction (see ctor).
   const auto clip = [&](const std::vector<std::size_t>& table,
-                        const Interval& track_open, const Interval& hit_span) {
-    if (track_open.lo >= track_open.hi) return;  // degenerate: blocks nothing
+                        const Interval& track_open, const Interval& block) {
+    if (!r.proper()) return;
     const auto first = std::upper_bound(
         table.begin(), table.end(), track_open.lo,
         [this](Coord v, std::size_t idx) { return v < lines_[idx].track; });
@@ -185,10 +186,11 @@ void EscapeLineSet::insert_obstacle(const ObstacleIndex& index,
         first, table.end(), track_open.hi,
         [this](std::size_t idx, Coord v) { return lines_[idx].track < v; });
     for (auto it = first; it != last; ++it) {
-      const EscapeLine& ln = lines_[*it];
+      EscapeLine& ln = lines_[*it];
       if (ln.source == EscapeLine::npos) continue;
-      if (!ln.span.overlaps(hit_span)) continue;
-      retrace_line(index, *it);
+      const Interval edge = index.obstacles()[ln.source].span(ln.axis);
+      if (block.lo >= edge.hi) ln.span.hi = std::min(ln.span.hi, block.lo);
+      if (block.hi <= edge.lo) ln.span.lo = std::max(ln.span.lo, block.hi);
     }
   };
   clip(vertical_by_x_, r.xs(), r.ys());
@@ -278,16 +280,10 @@ void EscapeLineSet::compact(const std::vector<std::size_t>& remap) {
   build_tables();
 }
 
-void EscapeLineSet::crossings(const Point& from, Dir d, Coord stop,
-                              std::vector<Coord>& out) const {
-  const Axis ax = axis_of(d);
-  const Coord origin = from.along(ax);
-  const Coord off = from.along(geom::other(ax));
-  const Coord lo = std::min(origin, stop);
-  const Coord hi = std::max(origin, stop);
-
+void EscapeLineSet::crossings_in(Axis axis, Coord off, Coord lo, Coord hi,
+                                 std::vector<Coord>& out) const {
   const std::vector<std::size_t>& table =
-      ax == Axis::kX ? vertical_by_x_ : horizontal_by_y_;
+      axis == Axis::kX ? vertical_by_x_ : horizontal_by_y_;
 
   // The table is sorted by (track, slot): scan forward from the first
   // track >= lo until a track passes hi.  Tracks arrive ascending, so a
@@ -299,13 +295,9 @@ void EscapeLineSet::crossings(const Point& from, Dir d, Coord stop,
        it != table.end(); ++it) {
     const EscapeLine& ln = lines_[*it];
     if (ln.track > hi) break;
-    if (ln.track == origin) continue;  // exclusive of the ray origin
     if (!ln.span.contains(off)) continue;
     if (out.size() > base && out.back() == ln.track) continue;
     out.push_back(ln.track);
-  }
-  if (sign_of(d) < 0) {
-    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());
   }
 }
 

@@ -22,8 +22,9 @@
 ///
 /// The set is *incrementally updatable* in both directions.
 /// `insert_obstacle` splices in the four edge lines of a newly inserted
-/// obstacle and re-traces only the lines whose free extension the new
-/// interior cuts; `remove_obstacle` — the rip-up direction — retires the
+/// obstacle and clips, in closed form and without tracing, only the lines
+/// whose free extension the new interior cuts; `remove_obstacle` — the
+/// rip-up direction — retires the
 /// removed obstacle's four records and re-extends only the lines its
 /// interior had clipped (the same binary-searched candidate range, probed
 /// against the index *after* the tombstone so traces pass through).  To
@@ -33,8 +34,8 @@
 /// when a later wire halo lands *between* them, so a merged record could
 /// not be split back apart — and symmetrically, removal retires exactly the
 /// four records of its own obstacle, so repeated insert/remove cycles can
-/// never leak or lose a duplicate.  `crossings` deduplicates emitted
-/// coordinates, so duplicate records never change routing behavior.
+/// never leak or lose a duplicate.  `crossings_in` deduplicates emitted
+/// tracks, so duplicate records never change routing behavior.
 ///
 /// Retired records stay as dead slots in `lines()` (slot k of obstacle i is
 /// always 4 + 4i + k, the invariant every update relies on) until `compact`
@@ -92,10 +93,15 @@ class EscapeLineSet {
 
   /// Incrementally accounts for obstacle \p ob, which must have just been
   /// added to \p index (the index this set was built from, after an
-  /// `ObstacleIndex::insert`).  Re-traces the existing lines whose extension
+  /// `ObstacleIndex::insert`).  Clips the existing lines whose extension
   /// the new interior cuts — a localized subset found by binary search —
-  /// and adds the newcomer's four edge lines.  The result is exactly the
-  /// line set a from-scratch build over \p index would produce.
+  /// and adds the newcomer's four edge lines.  The clip does not trace: a
+  /// line's end beyond its source edge's corner moves back to the
+  /// newcomer's near edge when that edge lies at or past the corner (a
+  /// trace from the corner would stop there, the old span being exact),
+  /// and a zero-area newcomer clips nothing.  Only the newcomer's own four
+  /// lines are traced.  The result is exactly the line set a from-scratch
+  /// build over \p index would produce.
   void insert_obstacle(const ObstacleIndex& index, std::size_t ob);
 
   /// Incrementally rips obstacle \p ob back out.  \p index must already
@@ -105,8 +111,10 @@ class EscapeLineSet {
   /// localized candidate set: tracks strictly inside the removed rect's
   /// perpendicular open span whose spans *touch* its parallel span (a
   /// clipped line abuts the blocking edge exactly).  The result answers
-  /// `crossings` exactly as a from-scratch build over the remaining live
-  /// obstacles would.  Idempotent for an already-retired obstacle.
+  /// `crossings_in` exactly as a from-scratch build over the remaining live
+  /// obstacles would.  Unlike the insert-side clip, this traces: how far a
+  /// line grows through the hole depends on the blockers beyond it.
+  /// Idempotent for an already-retired obstacle.
   void remove_obstacle(const ObstacleIndex& index, std::size_t ob);
 
   /// Renumbers the set after an `ObstacleIndex::compact`: dead slots are
@@ -121,15 +129,15 @@ class EscapeLineSet {
     return vertical_by_x_.size() + horizontal_by_y_.size();
   }
 
-  /// Appends to \p out all crossings of the directed probe ray from \p from
-  /// to the stop coordinate \p stop (exclusive of the origin, inclusive of
-  /// the stop coordinate) with escape lines perpendicular to the probe: the
-  /// coordinates along the probe axis, in travel order, deduplicated.
+  /// Appends to \p out the tracks of the live lines a probe along \p axis
+  /// at perpendicular coordinate \p off crosses within the closed range
+  /// [\p lo, \p hi]: the lines perpendicular to \p axis whose track lies in
+  /// the range and whose span contains \p off, ascending and deduplicated.
   /// Entries already in \p out are left untouched, and a caller that keeps
-  /// \p out across calls pays no allocation once it has grown.  One
-  /// forward scan of the (track, slot)-sorted lookup table; no sorting.
-  void crossings(const geom::Point& from, geom::Dir d, geom::Coord stop,
-                 std::vector<geom::Coord>& out) const;
+  /// \p out across calls pays no allocation once it has grown.  One forward
+  /// scan of the (track, slot)-sorted lookup table; no sorting.
+  void crossings_in(geom::Axis axis, geom::Coord off, geom::Coord lo,
+                    geom::Coord hi, std::vector<geom::Coord>& out) const;
 
  private:
   /// Writes obstacle \p i's four lines into their preassigned slots

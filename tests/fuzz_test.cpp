@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <random>
 
+#include "crossings.hpp"
 #include "fuzz_env.hpp"
 #include "spatial/escape_lines.hpp"
 #include "spatial/obstacle_index.hpp"
@@ -183,10 +184,15 @@ TEST_P(SpatialFuzz, CrossingsMatchNaiveFilter) {
     for (int q = 0; q < queries; ++q) {
       const Point p{c(rng), c(rng)};
       if (!index.routable(p)) continue;
-      for (const Dir d : geom::kAllDirs) {
-        const Coord stop = index.trace(p, d).stop;
+      for (const Axis ax : {Axis::kX, Axis::kY}) {
+        // The free run through p, as the router's memo records it.
+        const Dir fwd = ax == Axis::kX ? Dir::kEast : Dir::kNorth;
+        const Dir back = ax == Axis::kX ? Dir::kWest : Dir::kSouth;
+        const Coord lo = index.trace(p, back).stop;
+        const Coord hi = index.trace(p, fwd).stop;
+        const Coord off = p.along(other(ax));
         buf = prefix;
-        lines.crossings(p, d, stop, buf);
+        lines.crossings_in(ax, off, lo, hi, buf);
         ASSERT_GE(buf.size(), prefix.size());
         EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), buf.begin()))
             << "seed " << GetParam() << " p=" << p;
@@ -195,20 +201,26 @@ TEST_P(SpatialFuzz, CrossingsMatchNaiveFilter) {
             buf.end());
         // Naive: scan every live line.
         std::vector<Coord> slow;
-        const Axis ax = axis_of(d);
-        const Coord lo = std::min(p.along(ax), stop);
-        const Coord hi = std::max(p.along(ax), stop);
         for (const auto& ln : lines.lines()) {
           if (ln.dead || ln.axis == ax) continue;
-          if (ln.track == p.along(ax)) continue;
           if (ln.track < lo || ln.track > hi) continue;
-          if (!ln.span.contains(p.along(other(ax)))) continue;
+          if (!ln.span.contains(off)) continue;
           slow.push_back(ln.track);
         }
         std::sort(slow.begin(), slow.end());
         slow.erase(std::unique(slow.begin(), slow.end()), slow.end());
-        if (sign_of(d) < 0) std::reverse(slow.begin(), slow.end());
         EXPECT_EQ(fast, slow) << "seed " << GetParam() << " p=" << p;
+        // The two rays from p read their halves of the run's crossings.
+        const Coord origin = p.along(ax);
+        std::vector<Coord> ahead(
+            std::upper_bound(fast.begin(), fast.end(), origin), fast.end());
+        EXPECT_EQ(ahead, test::crossings(lines, p, fwd, hi))
+            << "seed " << GetParam() << " p=" << p;
+        std::vector<Coord> behind(
+            fast.begin(), std::lower_bound(fast.begin(), fast.end(), origin));
+        std::reverse(behind.begin(), behind.end());
+        EXPECT_EQ(behind, test::crossings(lines, p, back, lo))
+            << "seed " << GetParam() << " p=" << p;
       }
     }
   };

@@ -16,17 +16,23 @@
 //     space over the same layouts;
 //   - the CostModel contract the pruning relies on (cost_model.hpp):
 //     penalties are subadditive along a straight probe and depend on the
-//     incoming direction only through whether the move bends.
+//     incoming direction only through whether the move bends;
+//   - the run memo behind GridlessSpace's rays, successor list by successor
+//     list against the reference: states in random order (run ends and
+//     hugging points included), two spaces before and after a commit
+//     interleaved on one thread, and two threads probing at once.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -393,6 +399,191 @@ TEST_P(GridlessSpaceFuzz, CostModelsKeepThePruningContract) {
       ASSERT_LE(pen(start, move, pc), pen(other, move, pc)) << what;
     }
   }
+}
+
+// ------------------------------------------------------- the run memo
+//
+// GridlessSpace answers rays from a per-thread memo of the free runs it has
+// probed.  These cases compare its successors, state by state, with the
+// reference space, which traces every ray itself, in orders built to catch
+// a memo that answers for the wrong run, the wrong space or the wrong
+// thread.
+
+/// Expects \p space's successors of \p s to be the reference's, less the
+/// straight-on ray the space prunes (same emission order).  Returns a
+/// description of the first difference, or "".
+std::string successors_mismatch(const route::GridlessSpace& space,
+                                const test::ReferenceGridlessSpace& reference,
+                                const RouteState& s) {
+  std::vector<search::Successor<RouteState>> got, want;
+  space.successors(s, got);
+  reference.successors(s, want);
+  if (s.in_dir != route::kNoDir) {
+    const geom::Axis in = axis_of(static_cast<Dir>(s.in_dir));
+    std::erase_if(want, [in](const search::Successor<RouteState>& w) {
+      return axis_of(static_cast<Dir>(w.state.in_dir)) == in;
+    });
+  }
+  const std::string at = "state (" + std::to_string(s.p.x) + "," +
+                         std::to_string(s.p.y) + ") in " +
+                         std::to_string(s.in_dir);
+  if (got.size() != want.size()) {
+    return at + ": " + std::to_string(got.size()) + " successors, want " +
+           std::to_string(want.size());
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].state != want[i].state || got[i].cost != want[i].cost) {
+      return at + ": successor " + std::to_string(i) + " differs";
+    }
+  }
+  return "";
+}
+
+/// Routable states that stress the memo: random free points, pins, and the
+/// two ends of each one's free runs (hugging points on a blocker or the
+/// boundary), each with every incoming direction and as a start.
+std::vector<RouteState> memo_states(std::mt19937_64& rng,
+                                    const spatial::ObstacleIndex& index,
+                                    const std::vector<Point>& pins,
+                                    int points) {
+  std::vector<RouteState> out;
+  for (int i = 0; i < points; ++i) {
+    const Point p = pick_point(rng, index, pins);
+    std::vector<Point> at{p};
+    for (const Dir d : geom::kAllDirs) {
+      Point end = p;
+      end.along(axis_of(d)) = index.trace(p, d).stop;
+      at.push_back(end);
+    }
+    for (const Point& q : at) {
+      for (std::uint8_t in = 0; in <= route::kNoDir; ++in) {
+        out.push_back(RouteState{q, in});
+      }
+    }
+  }
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
+TEST_P(GridlessSpaceFuzz, RunMemoAnswersEveryStateOrder) {
+  const std::uint64_t seed = GetParam();
+  const layout::Layout lay = fuzz_layout(seed + 400);
+  route::SearchEnvironment env(lay);
+  const std::vector<Point> pins = all_pins(lay);
+  std::mt19937_64 rng(seed * 2654435761u + 17);
+  // A few committed halos, so runs end on wire halos as well as cells.
+  const route::GridlessRouter router(env.index(), env.lines());
+  for (std::size_t id = 0; id < 3; ++id) {
+    const route::Route r = router.route(pick_point(rng, env.index(), pins),
+                                        pick_point(rng, env.index(), pins));
+    if (r.found && r.points.size() >= 2) env.commit_route(id, r.segments(), 2);
+  }
+  const std::vector<Point> goals{pick_point(rng, env.index(), pins),
+                                 pick_point(rng, env.index(), pins)};
+  for (const route::SuccessorMode mode :
+       {route::SuccessorMode::kFull, route::SuccessorMode::kSparse}) {
+    const route::GridlessSpace space(env.index(), env.lines(), goals, nullptr,
+                                     mode);
+    const test::ReferenceGridlessSpace reference(env.index(), env.lines(),
+                                                 goals, nullptr, mode);
+    // Every state twice: the second pass answers from recorded runs only.
+    const std::vector<RouteState> states =
+        memo_states(rng, env.index(), pins, test::fuzz_iters(150) / 5 + 1);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const RouteState& s : states) {
+        ASSERT_EQ(successors_mismatch(space, reference, s), "")
+            << "seed " << seed << " pass " << pass;
+      }
+    }
+  }
+}
+
+TEST_P(GridlessSpaceFuzz, RunMemoKeepsSpacesApart) {
+  // Two spaces over the environment before and after a commit, queried
+  // alternately on one thread with the same states: a run recorded before
+  // the commit runs through the new halo, so reading it for the later
+  // space would emit landing points past the halo's edge.
+  const std::uint64_t seed = GetParam();
+  const layout::Layout lay = fuzz_layout(seed + 500);
+  const route::SearchEnvironment before(lay);
+  route::SearchEnvironment after = before;
+  const std::vector<Point> pins = all_pins(lay);
+  std::mt19937_64 rng(seed * 40503 + 29);
+  std::size_t committed = 0;
+  for (int tries = 0; tries < 16 && committed < 3; ++tries) {
+    const route::GridlessRouter router(after.index(), after.lines());
+    const route::Route r = router.route(pick_point(rng, after.index(), pins),
+                                        pick_point(rng, after.index(), pins));
+    if (!r.found || r.points.size() < 2) continue;
+    after.commit_route(committed++, r.segments(), 3);
+  }
+  ASSERT_GT(committed, 0u) << "seed " << seed;
+  const std::vector<Point> goals{pick_point(rng, after.index(), pins)};
+  const route::GridlessSpace early(before.index(), before.lines(), goals);
+  const route::GridlessSpace late(after.index(), after.lines(), goals);
+  const test::ReferenceGridlessSpace early_ref(before.index(),
+                                               before.lines(), goals);
+  const test::ReferenceGridlessSpace late_ref(after.index(), after.lines(),
+                                              goals);
+  // Points free after the commit are free before it too.
+  const std::vector<RouteState> states =
+      memo_states(rng, after.index(), pins, test::fuzz_iters(150) / 5 + 1);
+  for (const RouteState& s : states) {
+    ASSERT_EQ(successors_mismatch(early, early_ref, s), "") << "before";
+    ASSERT_EQ(successors_mismatch(late, late_ref, s), "") << "after";
+  }
+  // Whole searches, interleaved the same way.
+  search::Searcher<route::GridlessSpace> searcher;
+  search::Searcher<test::ReferenceGridlessSpace> reference;
+  for (int q = 0; q < test::fuzz_iters(150) / 10 + 1; ++q) {
+    const std::vector<RouteState> starts{
+        RouteState{pick_point(rng, after.index(), pins)}};
+    const bool first_early = rng() % 2 == 0;
+    for (int k = 0; k < 2; ++k) {
+      const bool is_early = (k == 0) == first_early;
+      const auto got = is_early ? searcher.run(early, starts, {})
+                                : searcher.run(late, starts, {});
+      const auto want = is_early ? reference.run(early_ref, starts, {})
+                                 : reference.run(late_ref, starts, {});
+      ASSERT_EQ(got.found, want.found) << "query " << q;
+      ASSERT_EQ(got.cost, want.cost) << "query " << q;
+      ASSERT_EQ(got.path, want.path) << "query " << q;
+    }
+  }
+}
+
+TEST_P(GridlessSpaceFuzz, RunMemoIsPerThread) {
+  // Two threads probe two spaces over different environments at once;
+  // each thread's memo must hold only its own space's runs.
+  const std::uint64_t seed = GetParam();
+  const layout::Layout lay_a = fuzz_layout(seed + 600);
+  const layout::Layout lay_b = fuzz_layout(seed + 700);
+  const route::SearchEnvironment env_a(lay_a);
+  const route::SearchEnvironment env_b(lay_b);
+  std::string mismatch_a, mismatch_b;
+  const auto probe = [](const route::SearchEnvironment& env,
+                        const layout::Layout& lay, std::uint64_t rng_seed,
+                        std::string& mismatch) {
+    std::mt19937_64 rng(rng_seed);
+    const std::vector<Point> pins = all_pins(lay);
+    const std::vector<Point> goals{pick_point(rng, env.index(), pins)};
+    const route::GridlessSpace space(env.index(), env.lines(), goals);
+    const test::ReferenceGridlessSpace reference(env.index(), env.lines(),
+                                                 goals);
+    for (const RouteState& s : memo_states(rng, env.index(), pins,
+                                           test::fuzz_iters(150) / 5 + 1)) {
+      mismatch = successors_mismatch(space, reference, s);
+      if (!mismatch.empty()) return;
+    }
+  };
+  std::thread a(probe, std::cref(env_a), std::cref(lay_a), seed * 3 + 1,
+                std::ref(mismatch_a));
+  std::thread b(probe, std::cref(env_b), std::cref(lay_b), seed * 3 + 2,
+                std::ref(mismatch_b));
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatch_a, "") << "seed " << seed;
+  EXPECT_EQ(mismatch_b, "") << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridlessSpaceFuzz,

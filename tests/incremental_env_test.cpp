@@ -76,7 +76,10 @@ void expect_index_equivalent(const spatial::ObstacleIndex& incremental,
   }
 }
 
-/// Asserts crossings queries answer identically from random routable probes.
+/// Asserts crossings queries answer identically from random routable
+/// probes: the directional oracle over the line records, and
+/// `crossings_in` over each probe's free run, which reads the lookup
+/// tables.
 void expect_lines_equivalent(const spatial::EscapeLineSet& incremental,
                              const spatial::EscapeLineSet& fresh,
                              const spatial::ObstacleIndex& index,
@@ -92,6 +95,15 @@ void expect_lines_equivalent(const spatial::EscapeLineSet& incremental,
       EXPECT_EQ(test::crossings(incremental, p, d, stop),
                 test::crossings(fresh, p, d, stop))
           << p << " dir " << static_cast<int>(d);
+    }
+    for (const geom::Axis ax : {geom::Axis::kX, geom::Axis::kY}) {
+      const bool x = ax == geom::Axis::kX;
+      const Coord lo = index.trace(p, x ? Dir::kWest : Dir::kSouth).stop;
+      const Coord hi = index.trace(p, x ? Dir::kEast : Dir::kNorth).stop;
+      const Coord off = p.along(geom::other(ax));
+      EXPECT_EQ(test::crossings_in(incremental, ax, off, lo, hi),
+                test::crossings_in(fresh, ax, off, lo, hi))
+          << p << " axis " << static_cast<int>(ax);
     }
   }
 }
@@ -287,6 +299,120 @@ TEST(IncrementalLines, InsertMatchesFromScratchBuild) {
       EXPECT_EQ(incremental.lines(), fresh.lines());
       expect_lines_equivalent(incremental, fresh, index, rng, iters);
     }
+  }
+}
+
+// ---------------------------------- insert_obstacle's closed-form clip
+//
+// The insert side clips spans without tracing.  Each case below checks
+// every record against a fresh build over the same obstacles.
+
+/// Inserts \p r into \p index and \p lines, then expects the records of a
+/// from-scratch build.
+void insert_and_expect_fresh(spatial::ObstacleIndex& index,
+                             spatial::EscapeLineSet& lines, const Rect& r) {
+  index.insert(r);
+  lines.insert_obstacle(index, index.size() - 1);
+  const spatial::EscapeLineSet fresh(index);
+  EXPECT_EQ(lines.lines(), fresh.lines()) << "after inserting " << r;
+}
+
+/// Span of obstacle \p ob's line \p k (0 left, 1 right, 2 bottom, 3 top).
+geom::Interval span_of(const spatial::EscapeLineSet& lines, std::size_t ob,
+                       std::size_t k) {
+  return lines.lines()[4 + 4 * ob + k].span;
+}
+
+TEST(IncrementalLinesClip, ZeroAreaInsertClipsNothing) {
+  spatial::ObstacleIndex index(Rect{0, 0, 100, 100}, {Rect{40, 40, 60, 60}});
+  spatial::EscapeLineSet lines(index);
+  const std::vector<spatial::EscapeLine> before = lines.lines();
+  // A segment across both vertical lines below the block, one across both
+  // horizontal lines beside it, and a point: none has an interior, so
+  // none stops a trace, and none may clip.
+  for (const Rect& r : {Rect{30, 20, 70, 20}, Rect{80, 30, 80, 70},
+                        Rect{40, 80, 40, 80}}) {
+    insert_and_expect_fresh(index, lines, r);
+    EXPECT_TRUE(std::equal(before.begin(), before.end(), lines.lines().begin()))
+        << "a zero-area insert moved a span: " << r;
+  }
+}
+
+TEST(IncrementalLinesClip, HaloOverASourceCornerKeepsThatExtension) {
+  spatial::ObstacleIndex index(Rect{0, 0, 100, 100}, {Rect{40, 40, 60, 60}});
+  spatial::EscapeLineSet lines(index);
+  // Covers the top-left corner (40, 60): its near edges lie behind the
+  // corner for both lines through it, so the left line still runs north to
+  // the boundary and the top line west to it.
+  insert_and_expect_fresh(index, lines, Rect{35, 55, 45, 70});
+  EXPECT_EQ(span_of(lines, 0, 0), (geom::Interval{0, 100}));
+  EXPECT_EQ(span_of(lines, 0, 3), (geom::Interval{0, 100}));
+  // Covers the bottom-right corner the same way.
+  insert_and_expect_fresh(index, lines, Rect{55, 30, 70, 45});
+  EXPECT_EQ(span_of(lines, 0, 1), (geom::Interval{0, 100}));
+  EXPECT_EQ(span_of(lines, 0, 2), (geom::Interval{0, 100}));
+}
+
+TEST(IncrementalLinesClip, HalosBeyondBothCornersClipBothEnds) {
+  spatial::ObstacleIndex index(Rect{0, 0, 100, 100}, {Rect{40, 40, 60, 60}});
+  spatial::EscapeLineSet lines(index);
+  // Above and below the left line x = 40: north end to 70, south end to 20.
+  insert_and_expect_fresh(index, lines, Rect{30, 70, 50, 80});
+  EXPECT_EQ(span_of(lines, 0, 0), (geom::Interval{0, 70}));
+  insert_and_expect_fresh(index, lines, Rect{30, 10, 50, 20});
+  EXPECT_EQ(span_of(lines, 0, 0), (geom::Interval{20, 70}));
+  EXPECT_EQ(span_of(lines, 0, 1), (geom::Interval{0, 100}));
+  // West and east of the bottom and top lines: both clip to [20, 80].
+  insert_and_expect_fresh(index, lines, Rect{10, 30, 20, 65});
+  insert_and_expect_fresh(index, lines, Rect{80, 35, 90, 70});
+  EXPECT_EQ(span_of(lines, 0, 2), (geom::Interval{20, 80}));
+  EXPECT_EQ(span_of(lines, 0, 3), (geom::Interval{20, 80}));
+  // A nearer halo clips again; a farther one leaves the span alone.
+  insert_and_expect_fresh(index, lines, Rect{35, 65, 45, 68});
+  insert_and_expect_fresh(index, lines, Rect{35, 90, 45, 95});
+  EXPECT_EQ(span_of(lines, 0, 0), (geom::Interval{20, 65}));
+}
+
+TEST(IncrementalLinesClip, InsertRemoveCyclesMatchFreshBuild) {
+  // Removal re-extends spans by tracing, and later inserts clip those
+  // spans in closed form: the clip's premise (the old span is exact) must
+  // keep holding across the cycles.
+  std::mt19937_64 rng(0xC11F);
+  const int iters = test::fuzz_iters(40);
+  for (int round = 0; round < 6; ++round) {
+    const Rect bounds{0, 0, 200, 200};
+    spatial::ObstacleIndex index(bounds, random_rects(rng, 8, 200));
+    spatial::EscapeLineSet lines(index);
+    std::vector<std::size_t> live;
+    for (std::size_t i = 0; i < index.size(); ++i) live.push_back(i);
+    for (int step = 0; step < 30; ++step) {
+      if (!live.empty() && rng() % 3 == 0) {
+        const std::size_t at = rng() % live.size();
+        ASSERT_TRUE(index.remove(live[at]));
+        lines.remove_obstacle(index, live[at]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+      } else {
+        index.insert(random_rects(rng, 1, 200).front());
+        lines.insert_obstacle(index, index.size() - 1);
+        live.push_back(index.size() - 1);
+      }
+      // Every live obstacle's records against a fresh build over the live
+      // obstacles, which numbers them by rank.
+      std::vector<Rect> rects;
+      for (const std::size_t i : live) rects.push_back(index.obstacles()[i]);
+      const spatial::ObstacleIndex fresh_index(bounds, rects);
+      const spatial::EscapeLineSet fresh(fresh_index);
+      for (std::size_t rank = 0; rank < live.size(); ++rank) {
+        for (std::size_t k = 0; k < 4; ++k) {
+          ASSERT_EQ(span_of(lines, live[rank], k), span_of(fresh, rank, k))
+              << "round " << round << " step " << step << " obstacle "
+              << live[rank] << " line " << k;
+        }
+      }
+      expect_lines_equivalent(lines, fresh, fresh_index, rng, iters);
+    }
+    lines.compact(index.compact());
+    EXPECT_EQ(lines.lines(), spatial::EscapeLineSet(index).lines());
   }
 }
 

@@ -8,6 +8,7 @@
 #include "core/cost_model.hpp"
 #include "core/gridless_router.hpp"
 #include "core/route_types.hpp"
+#include "crossings.hpp"
 #include "search/searcher.hpp"
 #include "spatial/escape_lines.hpp"
 #include "spatial/obstacle_index.hpp"
@@ -16,7 +17,9 @@
 /// The unpruned gridless successor rule, kept verbatim as the
 /// differential-testing reference: every state probes all three forward
 /// directions (straight on included), and the space names no dominators,
-/// so the searcher expands every popped state in full.
+/// so the searcher expands every popped state in full.  Every ray is traced
+/// and its crossings filtered from the line records (tests/crossings.hpp):
+/// no run memo, no lookup tables.
 /// `route::GridlessSpace` prunes the straight re-probe and lets the
 /// searcher skip states a closed twin or start covers; both prunings are
 /// exact, so a search over it must reproduce a search over this space
@@ -73,7 +76,7 @@ class ReferenceGridlessSpace {
       // inserted in place.
       cands_.clear();
       if (mode_ == route::SuccessorMode::kFull) {
-        lines_.crossings(s.p, d, hit.stop, cands_);
+        cands_ = crossings(lines_, s.p, d, hit.stop);
         if (sign_of(d) < 0) std::reverse(cands_.begin(), cands_.end());
       }
       const auto insert_sorted = [this](Coord c) {

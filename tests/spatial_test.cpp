@@ -212,10 +212,10 @@ TEST(EscapeLines, ExtensionStopsAtBlockingNeighbor) {
 TEST(EscapeLines, CrossingsAlongARay) {
   const auto idx = one_block();
   const spatial::EscapeLineSet lines(idx);
-  // Horizontal ray at y=10 from x=5 to the east boundary crosses the
-  // vertical lines x=40 and x=60 (edge lines span the whole layout here)
-  // and the boundary line x=100.
-  const auto xs = test::crossings(lines, Point{5, 10}, Dir::kEast, 100);
+  // A horizontal probe at y=10 over x in [5, 100] crosses the vertical
+  // lines x=40 and x=60 (edge lines span the whole layout here) and the
+  // boundary line x=100.
+  const auto xs = test::crossings_in(lines, Axis::kX, 10, 5, 100);
   EXPECT_EQ(xs, (std::vector<geom::Coord>{40, 60, 100}));
 }
 
@@ -226,15 +226,29 @@ TEST(EscapeLines, CrossingsRespectSpanContainment) {
       Rect{0, 0, 100, 100},
       {Rect{40, 40, 60, 60}, Rect{30, 80, 70, 95}});
   const spatial::EscapeLineSet lines(idx);
-  const auto below = test::crossings(lines, Point{5, 10}, Dir::kEast, 100);
+  const auto below = test::crossings_in(lines, Axis::kX, 10, 5, 100);
   EXPECT_TRUE(std::count(below.begin(), below.end(), 40) == 1);
-  const auto above = test::crossings(lines, Point{5, 97}, Dir::kEast, 100);
+  const auto above = test::crossings_in(lines, Axis::kX, 97, 5, 100);
   EXPECT_TRUE(std::count(above.begin(), above.end(), 40) == 0);
   // x=30/70 (the neighbor's edges) do span y=97.
   EXPECT_TRUE(std::count(above.begin(), above.end(), 30) == 1);
 }
 
-TEST(EscapeLines, CrossingsExcludeOriginAndOrderByTravel) {
+TEST(EscapeLines, CrossingsInAreClosedAndAscending) {
+  const auto idx = one_block();
+  const spatial::EscapeLineSet lines(idx);
+  // Ascending whatever way a ray would travel, both ends included.
+  EXPECT_EQ(test::crossings_in(lines, Axis::kX, 10, 0, 95),
+            (std::vector<geom::Coord>{0, 40, 60}));
+  EXPECT_EQ(test::crossings_in(lines, Axis::kX, 10, 40, 100),
+            (std::vector<geom::Coord>{40, 60, 100}));
+  // A one-point range answers whether a line crosses there.
+  EXPECT_EQ(test::crossings_in(lines, Axis::kY, 60, 40, 40),
+            (std::vector<geom::Coord>{40}));
+  EXPECT_TRUE(test::crossings_in(lines, Axis::kY, 60, 41, 59).empty());
+}
+
+TEST(EscapeLines, DirectionalOracleExcludesOriginAndOrdersByTravel) {
   const auto idx = one_block();
   const spatial::EscapeLineSet lines(idx);
   // Westward ray: descending coordinates.
@@ -249,7 +263,7 @@ TEST(EscapeLines, CoincidentEdgesKeepPerSourceRecords) {
   // Two blocks sharing the same left-edge x coordinate keep one line record
   // *each*: the spans coincide today, but a later incremental insert between
   // the blocks must be able to clip them independently (a merged record
-  // could not be split back apart).  `crossings` deduplicates coordinates,
+  // could not be split back apart).  `crossings_in` deduplicates tracks,
   // so the duplicate records never change routing behavior.
   const spatial::ObstacleIndex idx(
       Rect{0, 0, 100, 100},
@@ -261,7 +275,7 @@ TEST(EscapeLines, CoincidentEdgesKeepPerSourceRecords) {
                ln.span == Interval{0, 100};
       });
   EXPECT_EQ(count, 2);
-  const auto xs = test::crossings(lines, Point{5, 50}, Dir::kEast, 100);
+  const auto xs = test::crossings_in(lines, Axis::kX, 50, 5, 100);
   EXPECT_EQ(std::count(xs.begin(), xs.end(), 40), 1);  // deduplicated
 }
 
@@ -299,8 +313,8 @@ TEST(EscapeLines, IncrementalInsertSplitsCoincidentCorridors) {
 
   // Crossing queries agree with the from-scratch build on both sides.
   for (const geom::Coord y : {15, 45, 75}) {
-    EXPECT_EQ(test::crossings(lines, Point{5, y}, Dir::kEast, 100),
-              test::crossings(fresh_lines, Point{5, y}, Dir::kEast, 100))
+    EXPECT_EQ(test::crossings_in(lines, Axis::kX, y, 5, 100),
+              test::crossings_in(fresh_lines, Axis::kX, y, 5, 100))
         << "y=" << y;
   }
 }
