@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "io/text_format.hpp"
 #include "serve/metrics.hpp"
 #include "serve/routing_service.hpp"
 #include "serve/trace.hpp"
@@ -38,17 +37,12 @@
 #if defined(__linux__)
 #include "net/event_loop.hpp"
 #include "net/socket.hpp"
-#include "serve/fd_stream.hpp"
+#include "serve/client.hpp"
 #endif
 
 namespace {
 
 using namespace gcr;
-
-std::string workload_text(std::size_t cells, std::size_t nets,
-                          std::uint64_t seed) {
-  return io::write_layout_string(bench::make_workload(cells, 640, nets, seed));
-}
 
 /// First whitespace-separated token of every line — the STATS key set.
 std::vector<std::string> body_keys(const std::string& body) {
@@ -95,19 +89,10 @@ std::vector<std::string> loop_stats_keys() {
   {
     const net::ScopedFd fd = net::tcp_connect(loop.port());
     serve::FdTransport t(fd.get());
-    t.out() << "STATS\nQUIT\n";
-    t.out().flush();
-    std::string status;
-    std::getline(t.in(), status);
-    std::istringstream is(status);
-    std::string kw;
-    std::size_t nbytes = 0;
-    if ((is >> kw >> nbytes) && kw == "OK") {
-      std::string body(nbytes, '\0');
-      t.in().read(body.data(), static_cast<std::streamsize>(nbytes));
-      for (std::string& k : body_keys(body)) {
-        if (k.rfind("loop_", 0) == 0) keys.push_back(std::move(k));
-      }
+    const serve::Reply stats = serve::call(t.out(), t.in(), "STATS");
+    (void)serve::call(t.out(), t.in(), "QUIT");
+    for (std::string& k : body_keys(stats.body)) {
+      if (k.rfind("loop_", 0) == 0) keys.push_back(std::move(k));
     }
   }
   loop.stop();
@@ -151,7 +136,7 @@ OverheadReport measure_overhead() {
   rep.hist_record_ns = median_ns_per_call(
       9, 1'000'000, [&](std::size_t i) { hist.record(i & 0xffff); });
 
-  const std::string text = workload_text(25, 40, 105);
+  const std::string text = bench::workload_text(25, 40, 105);
   serve::RoutingService::Options opts;
   opts.workers = 1;
   serve::RoutingService service(opts);
@@ -327,7 +312,7 @@ void BM_StatsRender(benchmark::State& state) {
 BENCHMARK(BM_StatsRender);
 
 void BM_ServiceRouteTraced(benchmark::State& state) {
-  const std::string text = workload_text(25, 40, 105);
+  const std::string text = bench::workload_text(25, 40, 105);
   serve::RoutingService::Options opts;
   opts.workers = 1;
   serve::RoutingService service(opts);

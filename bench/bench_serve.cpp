@@ -8,20 +8,19 @@
 // environment; (2) a session-cache hit skips environment construction
 // entirely, so a warm LOAD is orders of magnitude cheaper than a cold one.
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/search_environment.hpp"
-#include "io/text_format.hpp"
 #include "net/reactor_pool.hpp"
 #include "net/socket.hpp"
-#include "serve/fd_stream.hpp"
+#include "serve/client.hpp"
 #include "serve/layout_session.hpp"
 #include "serve/routing_service.hpp"
 #include "spatial/escape_lines.hpp"
@@ -31,10 +30,16 @@ namespace {
 
 using namespace gcr;
 
-std::string workload_text(std::size_t cells, std::size_t nets,
-                          std::uint64_t seed) {
-  return io::write_layout_string(
-      bench::make_workload(cells, 640, nets, seed));
+/// A table cell's closed-loop rate.  A failed request is not throughput:
+/// if any of the \p requests failed, the bench reports it and exits 1.
+double rate_or_exit(std::size_t requests, std::size_t failed, double secs,
+                    const char* table) {
+  if (failed > 0) {
+    std::fprintf(stderr, "bench_serve: %zu of %zu requests failed (%s)\n",
+                 failed, requests, table);
+    std::exit(1);
+  }
+  return secs > 0 ? static_cast<double>(requests) / secs : 0.0;
 }
 
 /// Closed-loop: `clients` threads each fire `per_client` requests
@@ -47,6 +52,7 @@ double requests_per_sec(std::size_t workers, std::size_t clients,
   serve::RoutingService service(opts);
   const auto session = service.load(text);
 
+  std::atomic<std::size_t> failed{0};
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> pool;
   pool.reserve(clients);
@@ -55,7 +61,7 @@ double requests_per_sec(std::size_t workers, std::size_t clients,
       for (std::size_t q = 0; q < per_client; ++q) {
         serve::RouteRequest req;
         req.session_key = session->key;
-        (void)service.route(std::move(req));
+        if (!service.route(std::move(req)).ok()) ++failed;
       }
     });
   }
@@ -63,27 +69,10 @@ double requests_per_sec(std::size_t workers, std::size_t clients,
   const double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-  return secs > 0 ? static_cast<double>(clients * per_client) / secs : 0.0;
+  return rate_or_exit(clients * per_client, failed, secs, "in-process");
 }
 
 #if defined(__linux__)
-
-/// One framed request/response round trip on a blocking client socket;
-/// returns false on a non-OK status.
-bool tcp_round_trip(std::ostream& out, std::istream& in,
-                    const std::string& line, const std::string& body) {
-  out << line << '\n' << body;
-  out.flush();
-  std::string status;
-  if (!std::getline(in, status)) return false;
-  std::istringstream is(status);
-  std::string kw;
-  std::size_t nbytes = 0;
-  if (!(is >> kw >> nbytes) || kw != "OK") return false;
-  std::string sink(nbytes, '\0');
-  in.read(sink.data(), static_cast<std::streamsize>(nbytes));
-  return static_cast<std::size_t>(in.gcount()) == nbytes;
-}
 
 /// Closed-loop requests/sec through the network front-end: `connections`
 /// concurrent TCP clients (kernel-sharded across `reactors` SO_REUSEPORT
@@ -100,12 +89,14 @@ double tcp_requests_per_sec(std::size_t connections, std::size_t per_client,
   std::thread pool_thread([&pool] { pool.run(); });
 
   const std::string key = serve::SessionCache::content_key(text);
+  std::atomic<std::size_t> failed{0};
   {
     // Prime the session cache over the wire.
     const net::ScopedFd fd = net::tcp_connect(pool.port());
     serve::FdTransport t(fd.get());
-    (void)tcp_round_trip(t.out(), t.in(),
-                         "LOAD " + std::to_string(text.size()), text);
+    if (!serve::call(t.out(), t.in(), serve::load_command(text), text).ok) {
+      ++failed;
+    }
   }
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -116,9 +107,9 @@ double tcp_requests_per_sec(std::size_t connections, std::size_t per_client,
       const net::ScopedFd fd = net::tcp_connect(pool.port());
       serve::FdTransport t(fd.get());
       for (std::size_t q = 0; q < per_client; ++q) {
-        (void)tcp_round_trip(t.out(), t.in(), "ROUTE " + key, "");
+        if (!serve::call(t.out(), t.in(), "ROUTE " + key).ok) ++failed;
       }
-      (void)tcp_round_trip(t.out(), t.in(), "QUIT", "");
+      (void)serve::call(t.out(), t.in(), "QUIT");
     });
   }
   for (std::thread& t : clients) t.join();
@@ -127,9 +118,7 @@ double tcp_requests_per_sec(std::size_t connections, std::size_t per_client,
                           .count();
   pool.stop();
   pool_thread.join();
-  return secs > 0
-             ? static_cast<double>(connections * per_client) / secs
-             : 0.0;
+  return rate_or_exit(connections * per_client, failed, secs, "TCP");
 }
 
 /// Reactors × connections matrix: the multi-reactor scaling claim.  When
@@ -214,7 +203,7 @@ void print_table() {
   std::puts("E11 — routing service: throughput scaling and session reuse");
   bench::rule('-', 72);
 
-  const std::string text = workload_text(25, 40, 105);
+  const std::string text = bench::workload_text(25, 40, 105);
   std::printf("hardware threads: %u (wall-clock scaling needs >1;"
               " CPU-time split is machine-independent)\n",
               std::thread::hardware_concurrency());
@@ -299,7 +288,7 @@ void BM_EscapeLineBuild(benchmark::State& state) {
 BENCHMARK(BM_EscapeLineBuild)->Arg(1)->Arg(0);
 
 void BM_ServiceRoute(benchmark::State& state) {
-  const std::string text = workload_text(25, 40, 105);
+  const std::string text = bench::workload_text(25, 40, 105);
   serve::RoutingService::Options opts;
   opts.workers = static_cast<std::size_t>(state.range(0));
   serve::RoutingService service(opts);
@@ -314,7 +303,7 @@ void BM_ServiceRoute(benchmark::State& state) {
 BENCHMARK(BM_ServiceRoute)->Arg(1)->Arg(4);
 
 void BM_SessionLoadWarm(benchmark::State& state) {
-  const std::string text = workload_text(25, 40, 105);
+  const std::string text = bench::workload_text(25, 40, 105);
   serve::RoutingService service;
   (void)service.load(text);
   for (auto _ : state) {
@@ -324,7 +313,7 @@ void BM_SessionLoadWarm(benchmark::State& state) {
 BENCHMARK(BM_SessionLoadWarm);
 
 void BM_SessionLoadCold(benchmark::State& state) {
-  const std::string text = workload_text(25, 40, 105);
+  const std::string text = bench::workload_text(25, 40, 105);
   for (auto _ : state) {
     serve::SessionCache cache(2);
     benchmark::DoNotOptimize(cache.load(text));

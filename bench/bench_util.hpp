@@ -15,6 +15,7 @@
 
 #include "core/gridless_router.hpp"
 #include "core/steiner.hpp"
+#include "io/text_format.hpp"
 #include "layout/layout.hpp"
 #include "spatial/escape_lines.hpp"
 #include "spatial/obstacle_index.hpp"
@@ -38,6 +39,12 @@ struct World {
 inline layout::Layout make_workload(std::size_t cells, geom::Coord extent,
                                     std::size_t nets, std::uint64_t seed) {
   return workload::standard_workload(cells, extent, nets, seed);
+}
+
+/// A 640^2 make_workload layout as LOAD body text.
+inline std::string workload_text(std::size_t cells, std::size_t nets,
+                                 std::uint64_t seed) {
+  return io::write_layout_string(make_workload(cells, 640, nets, seed));
 }
 
 /// Random routable point pairs for two-pin queries, reproducible by seed.

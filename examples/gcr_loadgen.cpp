@@ -1,42 +1,37 @@
-// gcr_loadgen — closed-loop load generator for the routing service.
+// gcr_loadgen — load generator and end-to-end checker for gcr_serve.
 //
-// Two modes:
+// It forks the server named by --server and drives the framed protocol
+// over a real transport; every reply is cross-checked against an
+// in-process reference.  Every connection runs the same session script:
+// LOAD (or GEN), N checked ROUTEs, DETAIL + VERIFY (--gen), one REROUTE
+// of the first two nets, and OPTIMIZE (--optimize).
 //
-//   in-process (default): builds a RoutingService and hammers it from N
-//   client threads, each issuing requests back-to-back (closed loop: the
-//   next request leaves when the previous response lands).  Measures
-//   end-to-end requests/sec against worker count and prints the service's
-//   own STATS counters.
+//   default: one connection over a socketpair — or the daemon's
+//   stdin/stdout pipes with --transport pipe — running clients x requests
+//   ROUTEs.  With nobody else on the server, the session also sends its
+//   LOAD/GEN twice and checks the second dedups (cached=0, then cached=1).
+//   Ends with STATS and QUIT; the server must then exit 0.
 //
-//   --server PATH: forks PATH (gcr_serve) and drives it over a real
-//   transport — a socketpair by default, or the daemon's stdin/stdout
-//   pipes with --transport pipe — exercising the framed protocol
-//   end-to-end: LOAD, pipelined ROUTEs, STATS, QUIT.  Every ROUTE response
-//   body is parsed back (io::read_routes) and cross-checked against an
-//   in-process reference route of the same layout, so this doubles as the
-//   protocol round-trip test.
+//   --tcp: forks the server with --listen 0, parses the bound port from its
+//   banner, and runs one session per client thread over N concurrent TCP
+//   connections against the shared session.  Per-client latency
+//   percentiles plus an aggregate histogram are reported; at the end the
+//   server is sent SIGINT and must drain and exit cleanly.  This is the
+//   end-to-end proof of the epoll front-end: many clients, one worker
+//   pool, zero mismatches.
 //
-//   --server PATH --tcp: forks PATH with --listen 0, parses the bound port
-//   from its banner, and opens N *concurrent TCP connections* (one per
-//   client thread), each issuing closed-loop ROUTEs against the shared
-//   session.  Every response is cross-checked against the in-process
-//   reference and per-client latency percentiles plus an aggregate
-//   histogram are reported; at the end the server is sent SIGINT and must
-//   drain and exit cleanly.  This is the end-to-end proof of the epoll
-//   front-end: many clients, one worker pool, zero mismatches.
+//   --gen: sessions synthesize their workload *server-side* with the GEN
+//   verb instead of shipping a LOAD body — each TCP client from a distinct
+//   seed — and cross-check the returned session key against an identical
+//   client-side generation (GEN is deterministic, so the content-addressed
+//   key is predictable before the request is sent).  Every session closes
+//   with one DETAIL and one VERIFY round trip whose meta and body must
+//   match an in-process pipeline-stage run exactly.
 //
-//   --gen (with --server): clients synthesize their workload *server-side*
-//   with the GEN verb instead of shipping a LOAD body — each TCP client
-//   from a distinct seed — and cross-check the returned session key
-//   against an identical client-side generation (GEN is deterministic, so
-//   the content-addressed key is predictable before the request is sent).
-//   Every client closes with one DETAIL and one VERIFY round trip whose
-//   meta and body must match an in-process pipeline-stage run exactly.
-//
-//   --restart-dir DIR (with --server): restart-under-load smoke — PIN a
-//   session, COMMIT every net, SAVE into DIR, SIGINT-drain the server,
-//   restart it with --restore-dir DIR, claim the same handle, and verify
-//   the rehydrated pin answers the same REROUTE byte-identically.
+//   --restart-dir DIR: restart-under-load smoke — PIN a session, COMMIT
+//   every net, SAVE into DIR, SIGINT-drain the server, restart it with
+//   --restore-dir DIR, claim the same handle, and verify the rehydrated pin
+//   answers the same REROUTE byte-identically.
 //
 //   --stats-out FILE (with --tcp): before shutting the server down, a
 //   control connection fetches STATS and TRACE and FILE gets a JSON
@@ -45,16 +40,16 @@
 //   cross-checked against what the clients observed (counter conservation,
 //   per-verb counts), so the artifact doubles as an end-to-end audit.
 //
-//   $ gcr_loadgen --clients 8 --requests 16 --workers 4
 //   $ gcr_loadgen --server ./example_gcr_serve --requests 8 --gen
 //   $ gcr_loadgen --server ./example_gcr_serve --tcp --clients 16
 //
-// With --optimize, every client finishes with one OPTIMIZE request: the
+// With --optimize, every session finishes with one OPTIMIZE request: the
 // streamed PASS lines must match an in-process Optimizer run exactly (and
 // be non-increasing), and the final dump must parse back to its result.
 //
 // The workload is a seeded workload::floorplan netlist, so runs are
-// reproducible and the reference comparison is exact.
+// reproducible and the reference comparison is exact.  In-process service
+// throughput against worker count is bench_serve's table, not this tool's.
 
 #include <algorithm>
 #include <array>
@@ -69,6 +64,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,9 +77,8 @@
 #include "net/socket.hpp"
 #include "pipeline/stage.hpp"
 #include "pipeline/stage_runner.hpp"
-#include "serve/fd_stream.hpp"
-#include "serve/protocol.hpp"
-#include "serve/routing_service.hpp"
+#include "serve/client.hpp"
+#include "serve/layout_session.hpp"
 #include "workload/netgen.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -109,7 +104,7 @@ namespace {
 using namespace gcr;
 
 struct Config {
-  std::string server;  // empty = in-process
+  std::string server;
   bool pipe_transport = false;
   bool tcp = false;  // fork the server with --listen and fan out over TCP
   std::size_t clients = 4;
@@ -119,7 +114,7 @@ struct Config {
   std::size_t nets = 24;
   std::uint64_t seed = 42;
   long deadline_ms = -1;  // <0 = none
-  bool optimize = false;  // finish every client with one OPTIMIZE
+  bool optimize = false;  // finish every session with one OPTIMIZE
   bool gen = false;       // synthesize the workload server-side (GEN verb)
   /// Non-empty = restart-under-load smoke: pin a session on a first server,
   /// SAVE into this directory, SIGINT-drain the server, start a second one
@@ -147,7 +142,7 @@ struct Config {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--server PATH [--transport socket|pipe] [--tcp]]\n"
+      "usage: %s --server PATH [--transport socket|pipe] [--tcp]\n"
       "       [--clients N] [--requests N] [--workers N] [--reactors N]\n"
       "       [--cells N] [--nets N] [--seed S] [--deadline-ms N]\n"
       "       [--optimize] [--gen] [--restart-dir DIR] [--stats-out FILE]\n"
@@ -157,12 +152,10 @@ int usage(const char* argv0) {
   return 2;
 }
 
+#if GCR_LOADGEN_HAVE_FORK
+
 layout::Layout gen_workload(const Config& cfg, std::uint64_t seed) {
   return workload::standard_workload(cfg.cells, 640, cfg.nets, seed);
-}
-
-layout::Layout make_workload(const Config& cfg) {
-  return gen_workload(cfg, cfg.seed);
 }
 
 /// The GEN command mirroring gen_workload: the server must synthesize a
@@ -174,152 +167,51 @@ std::string gen_command(const Config& cfg, std::uint64_t seed) {
          " extent=640 nets=" + std::to_string(cfg.nets);
 }
 
-// ------------------------------------------------------------ protocol client
+// ------------------------------------------------------------ session script
 
-struct Reply {
-  bool ok = false;
-  std::string meta;  // status line after "OK <n> "
-  std::string body;
-  std::string error;
+/// One session's workload and every reference answer its replies are
+/// checked against.
+struct Reference {
+  std::uint64_t seed = 0;
+  layout::Layout lay;
+  std::string text;
+  std::string key;  // the content key LOAD/GEN must answer
+  route::NetlistResult route;
+  /// `REROUTE <key> nets=<first two nets>` and the dump it must answer
+  /// byte-for-byte (the serve path runs the same deterministic driver);
+  /// empty under --gen or with fewer than two nets.
+  std::string reroute_line, reroute_body;
+  std::optional<route::OptimizeReport> optimize;  // with --optimize
 };
 
-/// Sends one framed request and reads one framed response.
-Reply transact(std::ostream& out, std::istream& in, const std::string& line,
-               const std::string& body = std::string()) {
-  Reply r;
-  out << line << '\n' << body;
-  out.flush();
-  std::string status;
-  if (!std::getline(in, status)) {
-    r.error = "connection closed before response";
-    return r;
+Reference make_reference(const Config& cfg, std::uint64_t seed) {
+  Reference ref;
+  ref.seed = seed;
+  ref.lay = gen_workload(cfg, seed);
+  ref.text = io::write_layout_string(ref.lay);
+  ref.key = serve::SessionCache::content_key(ref.text);
+  ref.route = route::NetlistRouter(ref.lay).route_all();
+  if (!cfg.gen && ref.lay.nets().size() >= 2) {
+    route::NetlistOptions ropts;
+    ropts.mode = route::NetlistMode::kSequential;
+    ropts.reroute = {0, 1};
+    const route::NetlistResult rres =
+        route::NetlistRouter(ref.lay).route_all(ropts);
+    ref.reroute_body = io::write_routes_string(ref.lay, rres, ropts.reroute);
+    ref.reroute_line = "REROUTE " + ref.key + " nets=" +
+                       ref.lay.nets()[0].name() + "," +
+                       ref.lay.nets()[1].name();
   }
-  if (!status.empty() && status.back() == '\r') status.pop_back();
-  std::istringstream is(status);
-  std::string kw;
-  is >> kw;
-  if (kw == "ERR") {
-    std::getline(is, r.error);
-    return r;
-  }
-  if (kw != "OK") {
-    r.error = "malformed status line: " + status;
-    return r;
-  }
-  std::size_t nbytes = 0;
-  if (!(is >> nbytes)) {
-    r.error = "missing body byte count: " + status;
-    return r;
-  }
-  std::getline(is >> std::ws, r.meta);
-  r.body.resize(nbytes);
-  in.read(r.body.data(), static_cast<std::streamsize>(nbytes));
-  if (static_cast<std::size_t>(in.gcount()) != nbytes) {
-    r.error = "truncated response body";
-    return r;
-  }
-  r.ok = true;
-  return r;
-}
-
-/// Pulls `key=value` out of a response meta string; -1 when absent or not
-/// numeric.  Values may be non-numeric (the session key), so everything is
-/// scanned as tokens and only the requested one is converted.
-long long meta_value(const std::string& meta, const std::string& key) {
-  std::istringstream is(meta);
-  std::string tok;
-  while (is >> tok) {
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos || tok.compare(0, eq, key) != 0) continue;
-    try {
-      return std::stoll(tok.substr(eq + 1));
-    } catch (const std::exception&) {
-      return -1;
-    }
-  }
-  return -1;
-}
-
-/// Raw value of `key=` in a meta string ("" when absent) — for the
-/// non-numeric values (session key, pin handle) meta_value cannot carry.
-std::string meta_token(const std::string& meta, const std::string& key) {
-  std::istringstream is(meta);
-  std::string tok;
-  while (is >> tok) {
-    const std::size_t eq = tok.find('=');
-    if (eq != std::string::npos && tok.compare(0, eq, key) == 0) {
-      return tok.substr(eq + 1);
-    }
-  }
-  return std::string();
-}
-
-/// One OPTIMIZE round trip: PASS progress lines stream ahead of the final
-/// frame, so the reader loops on lines until the first non-PASS status.
-struct OptimizeReply {
-  Reply reply;
-  std::vector<route::OptimizePassStats> passes;
-};
-
-OptimizeReply transact_optimize(std::ostream& out, std::istream& in,
-                                const std::string& line) {
-  OptimizeReply r;
-  out << line << '\n';
-  out.flush();
-  std::string status;
-  for (;;) {
-    if (!std::getline(in, status)) {
-      r.reply.error = "connection closed before response";
-      return r;
-    }
-    if (!status.empty() && status.back() == '\r') status.pop_back();
-    if (status.rfind("PASS ", 0) != 0) break;
-    route::OptimizePassStats p;
-    unsigned long long wl = 0, of = 0;
-    std::size_t pass = 0;
-    if (std::sscanf(status.c_str(), "PASS %zu wirelength=%llu overflow=%llu",
-                    &pass, &wl, &of) != 3) {
-      r.reply.error = "malformed PASS line: " + status;
-      return r;
-    }
-    p.pass = pass;
-    p.wirelength = static_cast<geom::Cost>(wl);
-    p.overflow = static_cast<std::size_t>(of);
-    r.passes.push_back(p);
-  }
-  std::istringstream is(status);
-  std::string kw;
-  is >> kw;
-  if (kw == "ERR") {
-    std::getline(is, r.reply.error);
-    return r;
-  }
-  if (kw != "OK") {
-    r.reply.error = "malformed status line: " + status;
-    return r;
-  }
-  std::size_t nbytes = 0;
-  if (!(is >> nbytes)) {
-    r.reply.error = "missing body byte count: " + status;
-    return r;
-  }
-  std::getline(is >> std::ws, r.reply.meta);
-  r.reply.body.resize(nbytes);
-  in.read(r.reply.body.data(), static_cast<std::streamsize>(nbytes));
-  if (static_cast<std::size_t>(in.gcount()) != nbytes) {
-    r.reply.error = "truncated response body";
-    return r;
-  }
-  r.reply.ok = true;
-  return r;
+  if (cfg.optimize) ref.optimize = route::Optimizer(ref.lay).run();
+  return ref;
 }
 
 /// Cross-checks an OPTIMIZE reply against the in-process reference run:
 /// one PASS line per recorded pass, values exact and non-increasing, final
 /// dump parsing back to the reference result.  Empty string = good.
-std::string check_optimize(const OptimizeReply& r, const layout::Layout& lay,
+std::string check_optimize(const serve::Reply& r, const layout::Layout& lay,
                            const route::OptimizeReport& want) {
-  if (!r.reply.ok) return "OPTIMIZE: " + r.reply.error;
+  if (!r.ok) return "OPTIMIZE: " + r.error;
   if (r.passes.empty()) return "OPTIMIZE: no PASS lines streamed";
   if (r.passes.size() != want.passes.size()) {
     return "OPTIMIZE: streamed " + std::to_string(r.passes.size()) +
@@ -338,7 +230,7 @@ std::string check_optimize(const OptimizeReply& r, const layout::Layout& lay,
     }
   }
   try {
-    const route::NetlistResult parsed = io::read_routes_string(r.reply.body, lay);
+    const route::NetlistResult parsed = io::read_routes_string(r.body, lay);
     if (parsed.total_wirelength != want.result.total_wirelength ||
         parsed.routed != want.result.routed) {
       return "OPTIMIZE: final dump mismatch vs reference";
@@ -352,7 +244,7 @@ std::string check_optimize(const OptimizeReply& r, const layout::Layout& lay,
 /// Cross-checks a DETAIL/VERIFY reply against an in-process stage run over
 /// the reference route: the reply meta must carry the stage's own meta and
 /// the body must match byte-for-byte.  Empty string = good.
-std::string check_stage(const Reply& r, pipeline::StageKind kind,
+std::string check_stage(const serve::Reply& r, pipeline::StageKind kind,
                         const layout::Layout& lay,
                         const route::NetlistResult& reference) {
   const std::string name{pipeline::to_string(kind)};
@@ -376,84 +268,128 @@ std::string check_stage(const Reply& r, pipeline::StageKind kind,
   return std::string();
 }
 
-// ------------------------------------------------------------ in-process mode
+/// What one session observed.
+struct SessionResult {
+  std::size_t ok = 0;   // replies that passed their cross-check
+  std::size_t bad = 0;  // replies that failed one
+  std::vector<double> route_us;  // ROUTE round trips
+  /// (verb, round-trip us) for every request the script sent — the
+  /// per-verb table and the --stats-out audit aggregate these.
+  std::vector<std::pair<std::string, double>> verb_us;
+  std::string first_error;
 
-int run_inproc(const Config& cfg, const std::string& layout_text,
-               const route::NetlistResult& reference) {
-  serve::RoutingService::Options sopts;
-  sopts.workers = cfg.workers;
-  sopts.queue_capacity = std::max<std::size_t>(cfg.clients * 2, 64);
-  serve::RoutingService service(sopts);
-
-  const auto session = service.load(layout_text);
-  std::printf("session %s: %zu cells, %zu nets, %zu workers\n",
-              session->key.c_str(), session->layout.cells().size(),
-              session->layout.nets().size(), service.worker_count());
-
-  // In-process OPTIMIZE reference: the service must reproduce it exactly
-  // (same engine, cached environment, no builds).
-  std::optional<route::OptimizeReport> optref;
-  if (cfg.optimize) optref = route::Optimizer(session->layout).run();
-
-  std::vector<std::size_t> ok_counts(cfg.clients, 0);
-  std::vector<std::size_t> bad_counts(cfg.clients, 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> clients;
-    clients.reserve(cfg.clients);
-    for (std::size_t c = 0; c < cfg.clients; ++c) {
-      clients.emplace_back([&, c] {
-        for (std::size_t q = 0; q < cfg.requests; ++q) {
-          serve::RouteRequest req;
-          req.session_key = session->key;
-          if (cfg.deadline_ms >= 0) {
-            req.deadline = std::chrono::steady_clock::now() +
-                           std::chrono::milliseconds(cfg.deadline_ms);
-          }
-          const serve::RouteResponse resp = service.route(std::move(req));
-          const bool good =
-              resp.ok() &&
-              resp.result.total_wirelength == reference.total_wirelength &&
-              resp.result.routed == reference.routed;
-          (good ? ok_counts : bad_counts)[c] += 1;
-        }
-        if (cfg.optimize) {
-          serve::RouteRequest req;
-          req.session_key = session->key;
-          req.payload = route::OptimizeOptions{};
-          const serve::RouteResponse resp = service.route(std::move(req));
-          const bool good =
-              resp.ok() && resp.passes.size() == optref->passes.size() &&
-              resp.result.total_wirelength ==
-                  optref->result.total_wirelength &&
-              resp.result.routed == optref->result.routed;
-          (good ? ok_counts : bad_counts)[c] += 1;
-        }
-      });
+  void fail(const std::string& why) {
+    ++bad;
+    if (first_error.empty()) first_error = why;
+  }
+  /// Counts one cross-check: \p err empty = passed.
+  void check(const std::string& err) {
+    if (err.empty()) {
+      ++ok;
+    } else {
+      fail(err);
     }
-    for (std::thread& t : clients) t.join();
   }
-  const double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+};
 
-  std::size_t ok = 0, bad = 0;
-  for (std::size_t c = 0; c < cfg.clients; ++c) {
-    ok += ok_counts[c];
-    bad += bad_counts[c];
+/// Runs the session script over one connection: LOAD (or GEN), \p routes
+/// ROUTEs, DETAIL + VERIFY (--gen), REROUTE and OPTIMIZE (--optimize), each
+/// reply checked against \p ref.  With \p repeat_load the LOAD/GEN goes out
+/// twice and must answer cached=0 then cached=1 — exact only when no other
+/// connection can load the same layout first.  The caller sends QUIT.
+void run_session(const Config& cfg, const Reference& ref, std::size_t routes,
+                 bool repeat_load, std::ostream& out, std::istream& in,
+                 SessionResult& res) {
+  const auto timed = [&](const std::string& verb, const std::string& line,
+                         const std::string& body = std::string()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    serve::Reply r = serve::call(out, in, line, body);
+    res.verb_us.emplace_back(verb, std::chrono::duration<double, std::micro>(
+                                       std::chrono::steady_clock::now() - t0)
+                                       .count());
+    if (r.broken) throw std::runtime_error(verb + ": " + r.error);
+    return r;
+  };
+  try {
+    const std::string verb = cfg.gen ? "GEN" : "LOAD";
+    for (int attempt = 0; attempt < (repeat_load ? 2 : 1); ++attempt) {
+      const serve::Reply r =
+          cfg.gen ? timed(verb, gen_command(cfg, ref.seed))
+                  : timed(verb, serve::load_command(ref.text), ref.text);
+      if (!r.ok) {
+        res.fail(verb + ": " + r.error);
+        return;
+      }
+      if (cfg.gen && serve::meta_token(r.meta, "session") != ref.key) {
+        res.fail("GEN: session key mismatch vs client-side generation (" +
+                 r.meta + ")");
+        return;
+      }
+      const long long cached = serve::meta_value(r.meta, "cached");
+      res.check(!repeat_load || cached == attempt
+                    ? std::string()
+                    : verb + " attempt " + std::to_string(attempt) +
+                          ": unexpected cached=" + std::to_string(cached));
+    }
+
+    std::string route_line = "ROUTE " + ref.key;
+    if (cfg.deadline_ms >= 0) {
+      route_line += " deadline_ms=" + std::to_string(cfg.deadline_ms);
+    }
+    for (std::size_t q = 0; q < routes; ++q) {
+      const serve::Reply r = timed("ROUTE", route_line);
+      res.route_us.push_back(res.verb_us.back().second);
+      if (!r.ok) {
+        res.fail("ROUTE: " + r.error);
+        continue;
+      }
+      // The dump must parse against the layout and reproduce the
+      // in-process reference exactly.
+      try {
+        const route::NetlistResult parsed =
+            io::read_routes_string(r.body, ref.lay);
+        const bool same =
+            parsed.total_wirelength == ref.route.total_wirelength &&
+            parsed.routed == ref.route.routed &&
+            serve::meta_value(r.meta, "wirelength") ==
+                static_cast<long long>(ref.route.total_wirelength);
+        res.check(same ? "" : "ROUTE result mismatch vs reference");
+      } catch (const std::exception& e) {
+        res.fail(std::string("ROUTE dump unparsable: ") + e.what());
+      }
+    }
+
+    if (cfg.gen) {
+      // One DETAIL and one VERIFY round trip, each checked against an
+      // in-process pipeline-stage run over the reference route.
+      for (const pipeline::StageKind kind :
+           {pipeline::StageKind::kDetail, pipeline::StageKind::kVerify}) {
+        const std::string stage_verb =
+            kind == pipeline::StageKind::kDetail ? "DETAIL" : "VERIFY";
+        res.check(check_stage(timed(stage_verb, stage_verb + " " + ref.key),
+                              kind, ref.lay, ref.route));
+      }
+    }
+    if (!ref.reroute_line.empty()) {
+      const serve::Reply r = timed("REROUTE", ref.reroute_line);
+      if (!r.ok) {
+        res.fail("REROUTE: " + r.error);
+      } else {
+        res.check(r.body == ref.reroute_body
+                      ? ""
+                      : "REROUTE dump mismatch vs reference");
+      }
+    }
+    if (ref.optimize) {
+      res.check(check_optimize(timed("OPTIMIZE", "OPTIMIZE " + ref.key),
+                               ref.lay, *ref.optimize));
+    }
+  } catch (const std::exception& e) {
+    res.fail(e.what());
   }
-  const std::size_t total = ok + bad;
-  std::printf("%zu requests (%zu clients x %zu), %.3f s, %.1f req/s, "
-              "%zu mismatched/failed\n",
-              total, cfg.clients, cfg.requests, secs,
-              secs > 0 ? static_cast<double>(total) / secs : 0.0, bad);
-  std::fputs(service.stats_text().c_str(), stdout);
-  return bad == 0 ? 0 : 1;
 }
 
 // ------------------------------------------------------------ forked server
-
-#if GCR_LOADGEN_HAVE_FORK
 
 struct Child {
   pid_t pid = -1;
@@ -516,9 +452,10 @@ Child spawn_server(const Config& cfg) {
   return child;
 }
 
-int run_against_server(const Config& cfg, const std::string& layout_text,
-                       const layout::Layout& lay,
-                       const route::NetlistResult& reference) {
+/// One connection over a socketpair or pipes: the session script with
+/// clients x requests ROUTEs and the cached=0/1 LOAD check, then STATS and
+/// QUIT; the server must exit 0 once the connection closes.
+int run_against_server(const Config& cfg, const Reference& ref) {
   const Child child = spawn_server(cfg);
   if (child.pid < 0) {
     std::fprintf(stderr, "loadgen: cannot spawn %s\n", cfg.server.c_str());
@@ -528,143 +465,44 @@ int run_against_server(const Config& cfg, const std::string& layout_text,
               static_cast<int>(child.pid),
               cfg.pipe_transport ? "pipe" : "socketpair");
 
-  int failures = 0;
+  SessionResult res;
   {
     serve::FdTransport transport(child.read_fd, child.write_fd);
-    std::istream& in = transport.in();
-    std::ostream& out = transport.out();
-
-    const std::string key = serve::SessionCache::content_key(layout_text);
-    if (cfg.gen) {
-      // GEN twice: deterministic synthesis means the second request dedups
-      // into the first session (cached=1), and the key matches the
-      // client-side generation of the same seed.
-      for (int attempt = 0; attempt < 2; ++attempt) {
-        const Reply r = transact(out, in, gen_command(cfg, cfg.seed));
-        if (!r.ok) {
-          std::fprintf(stderr, "GEN failed: %s\n", r.error.c_str());
-          return 1;
-        }
-        if (meta_token(r.meta, "session") != key) {
-          std::fprintf(stderr,
-                       "GEN attempt %d: key mismatch vs client-side "
-                       "generation (%s)\n",
-                       attempt, r.meta.c_str());
-          ++failures;
-        }
-        const long long cached = meta_value(r.meta, "cached");
-        if (cached != (attempt == 0 ? 0 : 1)) {
-          std::fprintf(stderr, "GEN attempt %d: unexpected cached=%lld\n",
-                       attempt, cached);
-          ++failures;
-        }
-      }
-    } else {
-      // LOAD twice: the second must be a cache hit (no rebuild server-side).
-      for (int attempt = 0; attempt < 2; ++attempt) {
-        const Reply r = transact(
-            out, in, "LOAD " + std::to_string(layout_text.size()),
-            layout_text);
-        if (!r.ok) {
-          std::fprintf(stderr, "LOAD failed: %s\n", r.error.c_str());
-          return 1;
-        }
-        const long long cached = meta_value(r.meta, "cached");
-        if (cached != (attempt == 0 ? 0 : 1)) {
-          std::fprintf(stderr, "LOAD attempt %d: unexpected cached=%lld\n",
-                       attempt, cached);
-          ++failures;
-        }
-      }
-    }
-
     const auto t0 = std::chrono::steady_clock::now();
-    std::string route_line = "ROUTE " + key;
-    if (cfg.deadline_ms >= 0) {
-      route_line += " deadline_ms=" + std::to_string(cfg.deadline_ms);
-    }
-    const std::size_t total = cfg.requests * std::max<std::size_t>(cfg.clients, 1);
-    for (std::size_t q = 0; q < total; ++q) {
-      const Reply r = transact(out, in, route_line);
-      if (!r.ok) {
-        std::fprintf(stderr, "ROUTE %zu failed: %s\n", q, r.error.c_str());
-        ++failures;
-        continue;
-      }
-      // Round trip: the dump must parse against the layout and reproduce
-      // the in-process reference exactly.
-      try {
-        const route::NetlistResult parsed = io::read_routes_string(r.body, lay);
-        if (parsed.total_wirelength != reference.total_wirelength ||
-            parsed.routed != reference.routed ||
-            meta_value(r.meta, "wirelength") !=
-                static_cast<long long>(reference.total_wirelength)) {
-          std::fprintf(stderr, "ROUTE %zu: result mismatch vs reference\n", q);
-          ++failures;
-        }
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "ROUTE %zu: dump unparsable: %s\n", q, e.what());
-        ++failures;
-      }
-    }
+    run_session(cfg, ref, cfg.requests * cfg.clients, /*repeat_load=*/true,
+                transport.out(), transport.in(), res);
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-    std::printf("%zu round trips, %.3f s, %.1f req/s, %d failures\n", total,
+    const std::size_t total = res.verb_us.size();
+    std::printf("%zu round trips, %.3f s, %.1f req/s, %zu failures\n", total,
                 secs, secs > 0 ? static_cast<double>(total) / secs : 0.0,
-                failures);
+                res.bad);
 
-    if (cfg.optimize) {
-      const route::OptimizeReport optref = route::Optimizer(lay).run();
-      const OptimizeReply orep =
-          transact_optimize(out, in, "OPTIMIZE " + key);
-      const std::string err = check_optimize(orep, lay, optref);
-      if (err.empty()) {
-        std::printf("OPTIMIZE: %zu passes streamed, final wirelength %lld\n",
-                    orep.passes.size(),
-                    static_cast<long long>(optref.result.total_wirelength));
-      } else {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        ++failures;
-      }
-    }
-
-    if (cfg.gen) {
-      // One DETAIL and one VERIFY round trip, each checked against an
-      // in-process pipeline-stage run over the reference route.
-      for (const pipeline::StageKind kind :
-           {pipeline::StageKind::kDetail, pipeline::StageKind::kVerify}) {
-        const std::string verb =
-            kind == pipeline::StageKind::kDetail ? "DETAIL" : "VERIFY";
-        const Reply r = transact(out, in, verb + " " + key);
-        const std::string err = check_stage(r, kind, lay, reference);
-        if (!err.empty()) {
-          std::fprintf(stderr, "%s\n", err.c_str());
-          ++failures;
-        }
-      }
-    }
-
-    const Reply stats = transact(out, in, "STATS");
+    const serve::Reply stats =
+        serve::call(transport.out(), transport.in(), "STATS");
     if (stats.ok) {
       std::fputs(stats.body.c_str(), stdout);
     } else {
-      std::fprintf(stderr, "STATS failed: %s\n", stats.error.c_str());
-      ++failures;
+      res.fail("STATS: " + stats.error);
     }
-    const Reply bye = transact(out, in, "QUIT");
-    if (!bye.ok) ++failures;
+    const serve::Reply bye =
+        serve::call(transport.out(), transport.in(), "QUIT");
+    if (!bye.ok) res.fail("QUIT: " + bye.error);
   }
   ::close(child.write_fd);
   if (child.read_fd != child.write_fd) ::close(child.read_fd);
+  if (!res.first_error.empty()) {
+    std::fprintf(stderr, "first error: %s\n", res.first_error.c_str());
+  }
 
   int status = 0;
   ::waitpid(child.pid, &status, 0);
   if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
     std::fprintf(stderr, "server exited abnormally (status %d)\n", status);
-    ++failures;
+    return 1;
   }
-  return failures == 0 ? 0 : 1;
+  return res.bad == 0 ? 0 : 1;
 }
 
 // ------------------------------------------------------------ TCP fan-out
@@ -755,9 +593,11 @@ int write_stats_audit(const Config& cfg, std::uint16_t port,
   {
     const net::ScopedFd sock = net::tcp_connect(port);
     serve::FdTransport transport(sock.get());
-    const Reply stats = transact(transport.out(), transport.in(), "STATS");
-    const Reply trace = transact(transport.out(), transport.in(), "TRACE");
-    transact(transport.out(), transport.in(), "QUIT");
+    const serve::Reply stats =
+        serve::call(transport.out(), transport.in(), "STATS");
+    const serve::Reply trace =
+        serve::call(transport.out(), transport.in(), "TRACE");
+    (void)serve::call(transport.out(), transport.in(), "QUIT");
     if (!stats.ok || !trace.ok) {
       std::fprintf(stderr, "stats audit: control connection failed (%s%s)\n",
                    stats.error.c_str(), trace.error.c_str());
@@ -858,8 +698,11 @@ int write_stats_audit(const Config& cfg, std::uint16_t port,
   return failures;
 }
 
-int run_tcp(const Config& cfg, const std::string& layout_text,
-            const layout::Layout& lay, const route::NetlistResult& reference) {
+
+/// N concurrent TCP connections, one session each (no cached=0/1 check:
+/// clients that share a layout race to load it), then the latency tables,
+/// the optional --stats-out audit, and a SIGINT drain that must exit 0.
+int run_tcp(const Config& cfg, const Reference& ref) {
   std::signal(SIGPIPE, SIG_IGN);
   const TcpChild child = spawn_tcp_server(cfg);
   if (child.pid < 0) {
@@ -871,175 +714,30 @@ int run_tcp(const Config& cfg, const std::string& layout_text,
               cfg.server.c_str(), static_cast<int>(child.pid),
               static_cast<unsigned>(child.port));
 
-  struct ClientResult {
-    std::size_t ok = 0;
-    std::size_t bad = 0;
-    std::vector<double> lat_us;
-    /// (verb, round-trip us) for every framed request this client sent —
-    /// the per-verb table and the --stats-out audit aggregate these.
-    std::vector<std::pair<std::string, double>> verb_us;
-    std::string first_error;
-  };
-  std::vector<ClientResult> results(cfg.clients);
-  const std::string key = serve::SessionCache::content_key(layout_text);
-
-  // Rip-up-and-reroute reference: every client finishes with one
-  // `REROUTE nets=<first two nets>` whose dump must match this
-  // byte-for-byte (the serve path runs the same deterministic driver).
-  std::string reroute_line, reroute_body;
-  if (!cfg.gen && lay.nets().size() >= 2) {
-    route::NetlistOptions ropts;
-    ropts.mode = route::NetlistMode::kSequential;
-    ropts.reroute = {0, 1};
-    const route::NetlistResult rres =
-        route::NetlistRouter(lay).route_all(ropts);
-    reroute_body = io::write_routes_string(lay, rres, ropts.reroute);
-    reroute_line = "REROUTE " + key + " nets=" + lay.nets()[0].name() + "," +
-                   lay.nets()[1].name();
-  }
-
-  // OPTIMIZE reference: one in-process run; every client's streamed curve
-  // and final dump must reproduce it exactly.
-  std::optional<route::OptimizeReport> optref;
-  if (cfg.optimize) optref = route::Optimizer(lay).run();
-
+  std::vector<SessionResult> results(cfg.clients);
   const auto t0 = std::chrono::steady_clock::now();
   {
     std::vector<std::thread> threads;
     threads.reserve(cfg.clients);
     for (std::size_t c = 0; c < cfg.clients; ++c) {
       threads.emplace_back([&, c] {
-        ClientResult& res = results[c];
-        const auto fail = [&res](const std::string& why) {
-          ++res.bad;
-          if (res.first_error.empty()) res.first_error = why;
-        };
+        SessionResult& res = results[c];
         try {
           // GEN mode: every client synthesizes its own workload server-side
           // from a distinct seed, so its layout, reference route, and
-          // session key differ from the shared (seed-0) ones.
-          std::optional<layout::Layout> own_lay;
-          std::optional<route::NetlistResult> own_ref;
-          const layout::Layout* clay = &lay;
-          const route::NetlistResult* cref = &reference;
-          std::string ckey = key;
-          if (cfg.gen) {
-            own_lay.emplace(gen_workload(cfg, cfg.seed + c));
-            own_ref.emplace(route::NetlistRouter(*own_lay).route_all());
-            clay = &*own_lay;
-            cref = &*own_ref;
-            ckey = serve::SessionCache::content_key(
-                io::write_layout_string(*own_lay));
-          }
-
+          // session key differ from the shared ones.
+          std::optional<Reference> own;
+          if (cfg.gen && c > 0) own.emplace(make_reference(cfg, cfg.seed + c));
           const net::ScopedFd sock = net::tcp_connect(child.port);
           serve::FdTransport transport(sock.get());
-          std::istream& in = transport.in();
-          std::ostream& out = transport.out();
-
-          // Every framed round trip lands in the per-verb sample list.
-          const auto timed = [&](const char* verb, const std::string& line,
-                                 const std::string& body = std::string()) {
-            const auto s0 = std::chrono::steady_clock::now();
-            Reply r = transact(out, in, line, body);
-            res.verb_us.emplace_back(
-                verb, std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - s0)
-                          .count());
-            return r;
-          };
-
-          if (cfg.gen) {
-            const Reply genned =
-                timed("GEN", gen_command(cfg, cfg.seed + c));
-            if (!genned.ok) {
-              fail("GEN: " + genned.error);
-              return;
-            }
-            if (meta_token(genned.meta, "session") != ckey) {
-              fail("GEN: session key mismatch vs client-side generation");
-              return;
-            }
-            ++res.ok;
-          } else {
-            const Reply loaded = timed(
-                "LOAD", "LOAD " + std::to_string(layout_text.size()),
-                layout_text);
-            if (!loaded.ok) {
-              fail("LOAD: " + loaded.error);
-              return;
-            }
-          }
-          std::string route_line = "ROUTE " + ckey;
-          if (cfg.deadline_ms >= 0) {
-            route_line += " deadline_ms=" + std::to_string(cfg.deadline_ms);
-          }
-          for (std::size_t q = 0; q < cfg.requests; ++q) {
-            const Reply r = timed("ROUTE", route_line);
-            res.lat_us.push_back(res.verb_us.back().second);
-            if (!r.ok) {
-              fail("ROUTE: " + r.error);
-              continue;
-            }
-            try {
-              const route::NetlistResult parsed =
-                  io::read_routes_string(r.body, *clay);
-              if (parsed.total_wirelength != cref->total_wirelength ||
-                  parsed.routed != cref->routed) {
-                fail("ROUTE result mismatch vs reference");
-              } else {
-                ++res.ok;
-              }
-            } catch (const std::exception& e) {
-              fail(std::string("dump unparsable: ") + e.what());
-            }
-          }
-          if (cfg.gen) {
-            // One DETAIL and one VERIFY round trip per client, checked
-            // against an in-process stage run over this client's reference.
-            for (const pipeline::StageKind kind :
-                 {pipeline::StageKind::kDetail,
-                  pipeline::StageKind::kVerify}) {
-              const std::string verb =
-                  kind == pipeline::StageKind::kDetail ? "DETAIL" : "VERIFY";
-              const Reply r = timed(verb.c_str(), verb + " " + ckey);
-              const std::string err = check_stage(r, kind, *clay, *cref);
-              if (err.empty()) {
-                ++res.ok;
-              } else {
-                fail(err);
-              }
-            }
-          }
-          if (!reroute_line.empty()) {
-            const Reply rr = timed("REROUTE", reroute_line);
-            if (!rr.ok) {
-              fail("REROUTE: " + rr.error);
-            } else if (rr.body != reroute_body) {
-              fail("REROUTE dump mismatch vs reference");
-            } else {
-              ++res.ok;
-            }
-          }
-          if (cfg.optimize) {
-            const auto s0 = std::chrono::steady_clock::now();
-            const OptimizeReply orep =
-                transact_optimize(out, in, "OPTIMIZE " + key);
-            res.verb_us.emplace_back(
-                "OPTIMIZE", std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - s0)
-                                .count());
-            const std::string err = check_optimize(orep, lay, *optref);
-            if (err.empty()) {
-              ++res.ok;
-            } else {
-              fail(err);
-            }
-          }
-          const Reply bye = transact(out, in, "QUIT");
-          if (!bye.ok) fail("QUIT: " + bye.error);
+          run_session(cfg, own ? *own : ref, cfg.requests,
+                      /*repeat_load=*/false, transport.out(), transport.in(),
+                      res);
+          const serve::Reply bye =
+              serve::call(transport.out(), transport.in(), "QUIT");
+          if (!bye.ok) res.fail("QUIT: " + bye.error);
         } catch (const std::exception& e) {
-          fail(e.what());
+          res.fail(e.what());
         }
       });
     }
@@ -1051,11 +749,10 @@ int run_tcp(const Config& cfg, const std::string& layout_text,
 
   std::size_t ok = 0, bad = 0;
   std::vector<double> all_us;
-  for (std::size_t c = 0; c < cfg.clients; ++c) {
-    ok += results[c].ok;
-    bad += results[c].bad;
-    all_us.insert(all_us.end(), results[c].lat_us.begin(),
-                  results[c].lat_us.end());
+  for (const SessionResult& r : results) {
+    ok += r.ok;
+    bad += r.bad;
+    all_us.insert(all_us.end(), r.route_us.begin(), r.route_us.end());
   }
   std::printf("%zu TCP round trips (%zu connections x %zu), %.3f s, "
               "%.1f req/s, %zu mismatched/failed\n",
@@ -1067,7 +764,7 @@ int run_tcp(const Config& cfg, const std::string& layout_text,
   std::printf("  %-8s %8s %10s %10s %10s\n", "client", "reqs", "p50_us",
               "p95_us", "max_us");
   for (std::size_t c = 0; c < cfg.clients; ++c) {
-    std::vector<double>& v = results[c].lat_us;
+    std::vector<double>& v = results[c].route_us;
     const double mx = v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
     std::printf("  %-8zu %8zu %10.0f %10.0f %10.0f\n", c, v.size(),
                 percentile_us(v, 50), percentile_us(v, 95), mx);
@@ -1095,7 +792,7 @@ int run_tcp(const Config& cfg, const std::string& layout_text,
   // Per-verb latency across all clients: STATS shards these server-side,
   // and this table is the client-side view of the same split.
   std::map<std::string, std::vector<double>> verb_lat;
-  for (const ClientResult& r : results) {
+  for (const SessionResult& r : results) {
     for (const auto& [verb, us] : r.verb_us) verb_lat[verb].push_back(us);
   }
   std::printf("  per-verb round-trip latency (all clients):\n");
@@ -1171,15 +868,14 @@ void parse_replies(OpenConn& oc, std::vector<double>& lat_us,
     }
     const std::size_t nl = oc.inbuf.find('\n');
     if (nl == std::string::npos) return;
-    const std::string status = oc.inbuf.substr(0, nl);
+    const serve::StatusLine s =
+        serve::parse_status(std::string_view(oc.inbuf).substr(0, nl));
     oc.inbuf.erase(0, nl + 1);
-    std::istringstream is(status);
-    std::string kw;
-    std::size_t nbytes = 0;
-    is >> kw;
-    if (kw == "OK") is >> nbytes;
-    oc.body_left = nbytes;
-    if (kw == "ERR") ++*errors;
+    if (s.kind == serve::StatusLine::Kind::kOk) {
+      oc.body_left = s.body_bytes;
+    } else {
+      ++*errors;
+    }
     if (!oc.inflight.empty()) {
       lat_us.push_back(std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() -
@@ -1339,10 +1035,10 @@ int run_open_loop(const Config& cfg, const std::string& layout_text) {
       // the curve measures dispatch, not repeated layout parsing.
       const net::ScopedFd sock = net::tcp_connect(child.port);
       serve::FdTransport transport(sock.get());
-      const Reply loaded =
-          transact(transport.out(), transport.in(),
-                   "LOAD " + std::to_string(layout_text.size()), layout_text);
-      transact(transport.out(), transport.in(), "QUIT");
+      const serve::Reply loaded =
+          serve::call(transport.out(), transport.in(),
+                      serve::load_command(layout_text), layout_text);
+      (void)serve::call(transport.out(), transport.in(), "QUIT");
       if (!loaded.ok) {
         std::fprintf(stderr, "open-loop: LOAD failed: %s\n",
                      loaded.error.c_str());
@@ -1475,51 +1171,51 @@ int run_restart(const Config& cfg, const std::string& layout_text,
       std::istream& in = transport.in();
       std::ostream& out = transport.out();
 
-      const Reply hello = transact(out, in, "HELLO");
+      const serve::Reply hello = serve::call(out, in, "HELLO");
       if (!hello.ok) {
         fail("HELLO: " + hello.error);
-      } else if (meta_value(hello.meta, "version") != 2) {
+      } else if (serve::meta_value(hello.meta, "version") != 2) {
         fail("HELLO: unexpected protocol version (" + hello.meta + ")");
       }
 
-      const Reply loaded = transact(
-          out, in, "LOAD " + std::to_string(layout_text.size()), layout_text);
+      const serve::Reply loaded =
+          serve::call(out, in, serve::load_command(layout_text), layout_text);
       if (!loaded.ok) {
         fail("LOAD: " + loaded.error);
       } else {
-        const std::string key = meta_token(loaded.meta, "session");
-        const Reply pinned = transact(out, in, "PIN " + key);
+        const std::string key = serve::meta_token(loaded.meta, "session");
+        const serve::Reply pinned = serve::call(out, in, "PIN " + key);
         if (!pinned.ok) {
           fail("PIN: " + pinned.error);
         } else {
-          handle = meta_token(pinned.meta, "pin");
-          const Reply committed =
-              transact(out, in, "COMMIT " + handle + " nets=" + all_nets);
+          handle = serve::meta_token(pinned.meta, "pin");
+          const serve::Reply committed =
+              serve::call(out, in, "COMMIT " + handle + " nets=" + all_nets);
           if (!committed.ok) {
             fail("COMMIT: " + committed.error);
           } else {
-            committed_at_save = meta_value(committed.meta, "committed");
-            const Reply saved =
-                transact(out, in, "SAVE " + handle + " restart-smoke.snap");
+            committed_at_save = serve::meta_value(committed.meta, "committed");
+            const serve::Reply saved =
+                serve::call(out, in, "SAVE " + handle + " restart-smoke.snap");
             if (!saved.ok) {
               fail("SAVE: " + saved.error);
-            } else if (meta_value(saved.meta, "bytes") <= 0) {
+            } else if (serve::meta_value(saved.meta, "bytes") <= 0) {
               fail("SAVE: empty snapshot (" + saved.meta + ")");
             }
-            const Reply rr =
-                transact(out, in, "REROUTE " + handle + " nets=" + rip);
+            const serve::Reply rr =
+                serve::call(out, in, "REROUTE " + handle + " nets=" + rip);
             if (!rr.ok) {
               fail("REROUTE (live): " + rr.error);
             } else {
               want_body = rr.body;
-              want_routed = meta_value(rr.meta, "routed");
-              want_failed = meta_value(rr.meta, "failed");
-              want_wirelength = meta_value(rr.meta, "wirelength");
+              want_routed = serve::meta_value(rr.meta, "routed");
+              want_failed = serve::meta_value(rr.meta, "failed");
+              want_wirelength = serve::meta_value(rr.meta, "wirelength");
             }
           }
         }
       }
-      transact(out, in, "QUIT");
+      (void)serve::call(out, in, "QUIT");
     }
     if (!drain_server(server.pid)) fail("server 1 did not drain cleanly");
   }
@@ -1543,24 +1239,24 @@ int run_restart(const Config& cfg, const std::string& layout_text,
       std::istream& in = transport.in();
       std::ostream& out = transport.out();
 
-      const Reply claimed = transact(out, in, "PIN " + handle);
+      const serve::Reply claimed = serve::call(out, in, "PIN " + handle);
       if (!claimed.ok) {
         fail("PIN (restored): " + claimed.error);
-      } else if (meta_value(claimed.meta, "committed") != committed_at_save) {
+      } else if (serve::meta_value(claimed.meta, "committed") != committed_at_save) {
         fail("restored pin committed-count mismatch (" + claimed.meta + ")");
       }
-      const Reply rr = transact(out, in, "REROUTE " + handle + " nets=" + rip);
+      const serve::Reply rr = serve::call(out, in, "REROUTE " + handle + " nets=" + rip);
       if (!rr.ok) {
         fail("REROUTE (restored): " + rr.error);
       } else {
         if (rr.body != want_body) fail("restored REROUTE body differs");
-        if (meta_value(rr.meta, "routed") != want_routed ||
-            meta_value(rr.meta, "failed") != want_failed ||
-            meta_value(rr.meta, "wirelength") != want_wirelength) {
+        if (serve::meta_value(rr.meta, "routed") != want_routed ||
+            serve::meta_value(rr.meta, "failed") != want_failed ||
+            serve::meta_value(rr.meta, "wirelength") != want_wirelength) {
           fail("restored REROUTE counters differ (" + rr.meta + ")");
         }
       }
-      transact(out, in, "QUIT");
+      (void)serve::call(out, in, "QUIT");
     }
     if (!drain_server(server.pid)) fail("server 2 did not drain cleanly");
   }
@@ -1570,25 +1266,6 @@ int run_restart(const Config& cfg, const std::string& layout_text,
                 want_routed, want_wirelength);
   }
   return failures == 0 ? 0 : 1;
-}
-
-#else  // !GCR_LOADGEN_HAVE_FORK
-
-int run_against_server(const Config&, const std::string&,
-                       const layout::Layout&, const route::NetlistResult&) {
-  std::fprintf(stderr, "--server requires a POSIX platform\n");
-  return 1;
-}
-
-int run_tcp(const Config&, const std::string&, const layout::Layout&,
-            const route::NetlistResult&) {
-  std::fprintf(stderr, "--tcp requires a POSIX platform\n");
-  return 1;
-}
-
-int run_restart(const Config&, const std::string&, const layout::Layout&) {
-  std::fprintf(stderr, "--restart-dir requires a POSIX platform\n");
-  return 1;
 }
 
 #endif  // GCR_LOADGEN_HAVE_FORK
@@ -1669,8 +1346,8 @@ int main(int argc, char** argv) {
                  "rides the TCP front-end)\n");
     return usage(argv[0]);
   }
-  if (cfg.gen && cfg.server.empty()) {
-    std::fprintf(stderr, "--gen needs --server PATH (GEN is a protocol verb)\n");
+  if (cfg.server.empty()) {
+    std::fprintf(stderr, "--server PATH is required\n");
     return usage(argv[0]);
   }
   if (cfg.gen && cfg.optimize) {
@@ -1684,43 +1361,34 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
+#if GCR_LOADGEN_HAVE_FORK
   try {
-    const layout::Layout lay = make_workload(cfg);
-    const std::string text = io::write_layout_string(lay);
-    // One in-process reference route: the ground truth every response is
-    // compared against (independent routing is deterministic).
-    const route::NetlistRouter ref_router(lay);
-    const route::NetlistResult reference = ref_router.route_all();
+    // The in-process reference: the ground truth every reply is compared
+    // against (routing is deterministic).
+    const Reference ref = make_reference(cfg, cfg.seed);
     std::printf("workload: %zu cells, %zu nets, reference wirelength %lld "
                 "(%zu routed, %zu failed)\n",
-                lay.cells().size(), lay.nets().size(),
-                static_cast<long long>(reference.total_wirelength),
-                reference.routed, reference.failed);
+                ref.lay.cells().size(), ref.lay.nets().size(),
+                static_cast<long long>(ref.route.total_wirelength),
+                ref.route.routed, ref.route.failed);
 
-    if (cfg.server.empty()) {
-      if (cfg.tcp) {
-        std::fprintf(stderr, "--tcp needs --server PATH\n");
-        return usage(argv[0]);
-      }
-      if (!cfg.restart_dir.empty()) {
-        std::fprintf(stderr, "--restart-dir needs --server PATH\n");
-        return usage(argv[0]);
-      }
-      return run_inproc(cfg, text, reference);
-    }
-    if (!cfg.restart_dir.empty()) return run_restart(cfg, text, lay);
+    if (!cfg.restart_dir.empty()) return run_restart(cfg, ref.text, ref.lay);
     if (cfg.open_loop) {
 #if GCR_LOADGEN_HAVE_EPOLL
-      return run_open_loop(cfg, text);
+      return run_open_loop(cfg, ref.text);
 #else
       std::fprintf(stderr, "--open-loop requires Linux epoll\n");
       return 2;
 #endif
     }
-    if (cfg.tcp) return run_tcp(cfg, text, lay, reference);
-    return run_against_server(cfg, text, lay, reference);
+    if (cfg.tcp) return run_tcp(cfg, ref);
+    return run_against_server(cfg, ref);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "loadgen: fatal: %s\n", e.what());
     return 1;
   }
+#else
+  std::fprintf(stderr, "gcr_loadgen requires a POSIX platform\n");
+  return 1;
+#endif
 }

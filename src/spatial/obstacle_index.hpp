@@ -47,10 +47,6 @@ struct RayHit {
   /// Index of the blocking obstacle, or nullopt when the routing boundary
   /// stopped the ray.
   std::optional<std::size_t> obstacle;
-
-  [[nodiscard]] bool blocked_by_obstacle() const noexcept {
-    return obstacle.has_value();
-  }
 };
 
 /// Obstacle index.  Obstacles are closed rectangles whose *open* interiors

@@ -27,7 +27,7 @@
 #include "net/reactor_pool.hpp"
 #include "net/socket.hpp"
 #include "protocol_harness.hpp"
-#include "serve/fd_stream.hpp"
+#include "serve/client.hpp"
 #include "serve/frame_parser.hpp"
 #include "serve/layout_session.hpp"
 #include "serve/protocol.hpp"
@@ -199,9 +199,7 @@ using test::send_all;
 using test::TestServer;
 using test::workload_text;
 
-std::string load_frame(const std::string& text) {
-  return "LOAD " + std::to_string(text.size()) + "\n" + text;
-}
+using serve::load_frame;
 
 TEST(EventLoop, SplitFramesOneByteWrites) {
   TestServer server;
@@ -668,48 +666,6 @@ TEST(EventLoop, RerouteOverTcp) {
   EXPECT_EQ(bye.status, "OK 0 bye");
 }
 
-/// One parsed `PASS <i> wirelength=<w> overflow=<o>` progress line.
-struct PassLine {
-  std::size_t pass = 0;
-  long long wirelength = 0;
-  long long overflow = 0;
-};
-
-/// Reads an OPTIMIZE reply off a socket stream: any number of PASS progress
-/// lines, then the terminating OK/ERR frame.  No seeking (sockets cannot
-/// rewind) — the first non-PASS line *is* the status line.
-std::pair<std::vector<PassLine>, Frame> read_optimize_reply(std::istream& in) {
-  std::vector<PassLine> passes;
-  std::string line;
-  for (;;) {
-    if (!std::getline(in, line)) {
-      ADD_FAILURE() << "stream ended inside an OPTIMIZE reply";
-      return {passes, {}};
-    }
-    if (line.rfind("PASS ", 0) == 0) {
-      PassLine p;
-      EXPECT_EQ(std::sscanf(line.c_str(),
-                            "PASS %zu wirelength=%lld overflow=%lld", &p.pass,
-                            &p.wirelength, &p.overflow),
-                3)
-          << line;
-      passes.push_back(p);
-      continue;
-    }
-    Frame f;
-    f.status = line;
-    std::istringstream is(line);
-    std::string kw;
-    std::size_t nbytes = 0;
-    is >> kw;
-    if (kw == "OK" && (is >> nbytes) && nbytes > 0) {
-      f.body.resize(nbytes);
-      in.read(f.body.data(), static_cast<std::streamsize>(nbytes));
-    }
-    return {passes, f};
-  }
-}
-
 TEST(EventLoop, OptimizeStreamsPassLinesInPipelineOrder) {
   // OPTIMIZE over the epoll front-end, pipelined between a ROUTE and a
   // STATS in one TCP segment.  The PASS progress lines must stream inside
@@ -736,14 +692,14 @@ TEST(EventLoop, OptimizeStreamsPassLinesInPipelineOrder) {
   EXPECT_EQ(io::read_routes_string(route.body, lay).total_wirelength,
             ref.total_wirelength);
 
-  const auto [passes, frame] = read_optimize_reply(transport.in());
+  const Frame frame = next_frame(transport.in());
+  const auto& passes = frame.passes;
   ASSERT_EQ(frame.status.rfind("OK ", 0), 0u) << frame.status;
   ASSERT_EQ(passes.size(), direct.passes.size());
   for (std::size_t i = 0; i < passes.size(); ++i) {
     EXPECT_EQ(passes[i].pass, i + 1);
     EXPECT_EQ(passes[i].wirelength, direct.passes[i].wirelength);
-    EXPECT_EQ(static_cast<std::size_t>(passes[i].overflow),
-              direct.passes[i].overflow);
+    EXPECT_EQ(passes[i].overflow, direct.passes[i].overflow);
     if (i > 0) {
       EXPECT_LE(passes[i].wirelength, passes[i - 1].wirelength);
       EXPECT_LE(passes[i].overflow, passes[i - 1].overflow);
@@ -826,8 +782,7 @@ TEST(EventLoop, LoadRunsOnWorkerPoolAndLoopStaysResponsive) {
   const net::ScopedFd bad = net::tcp_connect(server.port());
   serve::FdTransport bad_t(bad.get());
   const std::string garbage = "boundary 0 0 10\nnonsense";
-  send_all(bad.get(), "LOAD " + std::to_string(garbage.size()) + "\n" +
-                          garbage + "QUIT\n");
+  send_all(bad.get(), load_frame(garbage) + "QUIT\n");
   const Frame err = next_frame(bad_t.in());
   EXPECT_EQ(err.status.rfind("ERR ", 0), 0u) << err.status;
   const Frame bad_bye = next_frame(bad_t.in());

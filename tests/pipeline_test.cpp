@@ -37,7 +37,7 @@
 #include <sys/socket.h>
 
 #include "net/socket.hpp"
-#include "serve/fd_stream.hpp"
+#include "serve/client.hpp"
 #endif
 
 namespace {
@@ -569,26 +569,17 @@ std::string normalized(std::string status, std::string body) {
 /// Reads one reply — any OPTIMIZE PASS lines plus the frame they precede
 /// — into \p reply, normalized.  False at end of stream.
 bool read_reply(std::istream& in, std::string& reply) {
+  const serve::Reply r = serve::read_reply(in);
+  if (r.broken && r.status.empty()) return false;
+  EXPECT_FALSE(r.broken) << r.error;
   reply.clear();
-  std::string status;
-  while (std::getline(in, status)) {
-    if (status.rfind("PASS ", 0) == 0) {
-      reply += status + '\n';
-      continue;
-    }
-    std::istringstream is(status);
-    std::string kw;
-    std::size_t nbytes = 0;
-    std::string body;
-    is >> kw;
-    if (kw == "OK" && (is >> nbytes) && nbytes > 0) {
-      body.resize(nbytes);
-      in.read(body.data(), static_cast<std::streamsize>(nbytes));
-    }
-    reply += normalized(status, body);
-    return true;
+  for (const route::OptimizePassStats& p : r.passes) {
+    reply += "PASS " + std::to_string(p.pass) + ' ' +
+             std::to_string(p.wirelength) + ' ' + std::to_string(p.overflow) +
+             '\n';
   }
-  return false;
+  reply += normalized(r.status, r.body);
+  return true;
 }
 
 /// The LOAD/GEN accounting lines of the service's STATS body.
@@ -674,7 +665,7 @@ std::vector<Round> every_verb_script() {
   const std::string a = lay.nets()[0].name();
   const std::string b = lay.nets()[1].name();
   const std::string pin = "pin-0000000000000001";  // a fresh service's first
-  const std::string load = "LOAD " + std::to_string(text.size()) + "\n" + text;
+  const std::string load = serve::load_frame(text);
   return {
       {"HELLO\n" + load + load +  // cold, then resident
            "GEN standard seed=6 cells=9 extent=512 nets=12\nROUTE " + key +

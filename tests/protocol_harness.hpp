@@ -7,12 +7,12 @@
 #include <cstdint>
 #include <cstring>
 #include <istream>
-#include <sstream>
 #include <string>
 #include <thread>
 
 #include "io/text_format.hpp"
 #include "net/event_loop.hpp"
+#include "serve/client.hpp"
 #include "serve/routing_service.hpp"
 #include "workload/netgen.hpp"
 
@@ -36,24 +36,14 @@ inline std::string workload_text(std::size_t cells, std::size_t nets,
       workload::standard_workload(cells, 512, nets, seed));
 }
 
-/// One framed response: status line plus its counted body.
-struct Frame {
-  std::string status;
-  std::string body;
-};
+/// One framed response, as serve::read_reply parses it.
+using Frame = serve::Reply;
 
-/// Reads one framed response off \p in.
+/// Reads one framed response off \p in; EOF, a malformed line or a
+/// truncated body fails the test.
 inline Frame next_frame(std::istream& in) {
-  Frame f;
-  EXPECT_TRUE(static_cast<bool>(std::getline(in, f.status)));
-  std::istringstream is(f.status);
-  std::string kw;
-  std::size_t nbytes = 0;
-  is >> kw;
-  if (kw == "OK" && (is >> nbytes) && nbytes > 0) {
-    f.body.resize(nbytes);
-    in.read(f.body.data(), static_cast<std::streamsize>(nbytes));
-  }
+  Frame f = serve::read_reply(in);
+  EXPECT_FALSE(f.broken) << f.error << " (status: " << f.status << ")";
   return f;
 }
 

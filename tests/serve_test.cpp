@@ -26,6 +26,7 @@
 #include "io/route_dump.hpp"
 #include "io/text_format.hpp"
 #include "protocol_harness.hpp"
+#include "serve/client.hpp"
 #include "serve/fair_queue.hpp"
 #include "serve/layout_session.hpp"
 #include "serve/metrics.hpp"
@@ -412,9 +413,8 @@ std::string run_protocol(const std::string& script,
 TEST(Protocol, LoadRouteStatsQuitRoundTrip) {
   const std::string text(kTinyLayout);
   const std::string key = serve::SessionCache::content_key(text);
-  const std::string script = "LOAD " + std::to_string(text.size()) + "\n" +
-                             text + "LOAD " + std::to_string(text.size()) +
-                             "\n" + text + "ROUTE " + key +
+  const std::string script = serve::load_frame(text) +
+                             serve::load_frame(text) + "ROUTE " + key +
                              " threads=1\nSTATS\nQUIT\n";
   std::istringstream replies(run_protocol(script));
 
@@ -502,7 +502,7 @@ TEST(Protocol, CoordinateBoundRoutesAndBeyondIsRejected) {
   const std::string beyond = layout_text("2147483648");
   const std::string key = serve::SessionCache::content_key(at);
   std::istringstream replies(run_protocol(
-      "LOAD " + std::to_string(at.size()) + "\n" + at + "ROUTE " + key +
+      serve::load_frame(at) + "ROUTE " + key +
       "\nLOAD " + std::to_string(beyond.size()) + "\n" + beyond + "QUIT\n"));
   EXPECT_EQ(next_frame(replies).status.rfind("OK 0 session=" + key, 0), 0u);
   const Frame route = next_frame(replies);
@@ -565,7 +565,7 @@ TEST(Protocol, RouteNetSubset) {
   const std::string key = serve::SessionCache::content_key(text);
 
   const std::string script =
-      "LOAD " + std::to_string(text.size()) + "\n" + text +
+      serve::load_frame(text) +
       "ROUTE " + key + " nets=" + a + "," + b + "\n" +   // named subset
       "ROUTE " + key + " nets=" + a + "," + a + "\n" +   // duplicate: once
       "ROUTE " + key + " nets=bogus\n" +                 // unknown net
@@ -690,7 +690,7 @@ TEST(Protocol, RerouteRoundTrip) {
       io::write_routes_string(lay, want, ropts.reroute);
 
   const std::string script =
-      "LOAD " + std::to_string(text.size()) + "\n" + text +
+      serve::load_frame(text) +
       "REROUTE " + key + " nets=" + a + "," + b + "\n" +
       "REROUTE " + key + " nets=" + a + "," + a + "\n" +  // dedup: rip once
       "REROUTE " + key + "\n" +                           // missing nets=
@@ -728,6 +728,113 @@ TEST(Protocol, RerouteRoundTrip) {
 
   const Frame bye = next_frame(replies);
   EXPECT_EQ(bye.status, "OK 0 bye");
+}
+
+// ------------------------------------------------------------ reply reader
+
+TEST(ReplyReader, OkWithBodyAndEmptyOk) {
+  std::istringstream in("OK 5 session=abc cached=1\nhelloOK 0\nOK 0 bye\n");
+  const serve::Reply a = serve::read_reply(in);
+  EXPECT_TRUE(a.ok);
+  EXPECT_FALSE(a.broken);
+  EXPECT_EQ(a.status, "OK 5 session=abc cached=1");
+  EXPECT_EQ(a.meta, "session=abc cached=1");
+  EXPECT_EQ(a.body, "hello");
+  EXPECT_TRUE(a.passes.empty());
+  EXPECT_EQ(serve::meta_token(a.meta, "session"), "abc");
+  EXPECT_EQ(serve::meta_value(a.meta, "cached"), 1);
+  EXPECT_EQ(serve::meta_value(a.meta, "session"), -1);  // not numeric
+  EXPECT_EQ(serve::meta_value(a.meta, "missing"), -1);
+  const serve::Reply b = serve::read_reply(in);
+  EXPECT_TRUE(b.ok);
+  EXPECT_EQ(b.meta, "");
+  EXPECT_EQ(b.body, "");
+  EXPECT_EQ(serve::read_reply(in).meta, "bye");
+}
+
+TEST(ReplyReader, ErrIsAReplyNotABrokenStream) {
+  std::istringstream in("ERR session_not_found deadbeef\nOK 0 bye\n");
+  const serve::Reply r = serve::read_reply(in);
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.broken);
+  EXPECT_EQ(r.error, "session_not_found deadbeef");
+  EXPECT_TRUE(serve::read_reply(in).ok);  // still in sync
+}
+
+TEST(ReplyReader, PassLinesPrecedeOkOrErr) {
+  std::istringstream in(
+      "PASS 1 wirelength=900 overflow=3\nPASS 2 wirelength=850 overflow=0\n"
+      "OK 2 passes=2\nxyPASS 1 wirelength=10 overflow=1\nERR cancelled\n");
+  const serve::Reply r = serve::read_reply(in);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.meta, "passes=2");
+  EXPECT_EQ(r.body, "xy");
+  ASSERT_EQ(r.passes.size(), 2u);
+  EXPECT_EQ(r.passes[0].pass, 1u);
+  EXPECT_EQ(r.passes[0].wirelength, 900);
+  EXPECT_EQ(r.passes[0].overflow, 3u);
+  EXPECT_EQ(r.passes[1].pass, 2u);
+  EXPECT_EQ(r.passes[1].wirelength, 850);
+  EXPECT_EQ(r.passes[1].overflow, 0u);
+  const serve::Reply e = serve::read_reply(in);
+  EXPECT_FALSE(e.ok);
+  EXPECT_FALSE(e.broken);
+  EXPECT_EQ(e.error, "cancelled");
+  ASSERT_EQ(e.passes.size(), 1u);
+  EXPECT_EQ(e.passes[0].wirelength, 10);
+}
+
+TEST(ReplyReader, MalformedLinesBreakTheStream) {
+  for (const char* bytes : {"PASS 1 wirelength=abc overflow=0\nOK 0\n",
+                            "HELLO there\n", "OK\n", "OK x\n"}) {
+    std::istringstream in(bytes);
+    const serve::Reply r = serve::read_reply(in);
+    EXPECT_FALSE(r.ok) << bytes;
+    EXPECT_TRUE(r.broken) << bytes;
+    EXPECT_FALSE(r.error.empty()) << bytes;
+  }
+}
+
+TEST(ReplyReader, ShortBodyIsTruncated) {
+  // A count no stream could back is a truncation, not an allocation.
+  for (const char* bytes :
+       {"OK 10 meta=1\nabc", "OK 18446744073709551615 meta=1\nabc"}) {
+    std::istringstream in(bytes);
+    const serve::Reply r = serve::read_reply(in);
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.broken);
+    EXPECT_EQ(r.error, "truncated response body");
+    EXPECT_EQ(r.body, "abc");
+  }
+}
+
+TEST(ReplyReader, EofBeforeAnyStatusLine) {
+  std::istringstream in("");
+  const serve::Reply r = serve::read_reply(in);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.broken);
+  EXPECT_EQ(r.status, "");
+  EXPECT_FALSE(r.error.empty());
+}
+
+TEST(ReplyReader, CrlfStatusLines) {
+  std::istringstream in("OK 3 cached=0\r\nabcERR bad\r\n");
+  const serve::Reply r = serve::read_reply(in);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.status, "OK 3 cached=0");
+  EXPECT_EQ(r.meta, "cached=0");
+  EXPECT_EQ(r.body, "abc");
+  EXPECT_EQ(serve::read_reply(in).error, "bad");
+}
+
+TEST(ReplyReader, CallSendsLineThenBody) {
+  std::ostringstream out;
+  std::istringstream in("OK 0 session=k cached=0\n");
+  const serve::Reply r =
+      serve::call(out, in, serve::load_command("ab"), "ab");
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(out.str(), "LOAD 2\nab");
+  EXPECT_EQ(serve::load_frame("ab"), out.str());
 }
 
 // ---------------------------------------------------------------- OPTIMIZE
@@ -800,39 +907,6 @@ TEST(Protocol, DeadlineAndBudgetCappedAt24Hours) {
   EXPECT_NE(out.find("OK 0 bye"), std::string::npos);
 }
 
-/// One parsed `PASS <i> wirelength=<w> overflow=<o>` progress line.
-struct PassLine {
-  std::size_t pass = 0;
-  long long wirelength = 0;
-  long long overflow = 0;
-};
-
-/// Reads an OPTIMIZE reply: any number of PASS progress lines, then the
-/// terminating OK/ERR frame.  (next_frame alone would misparse the PASS
-/// lines as status lines.)
-std::pair<std::vector<PassLine>, Frame> next_optimize_reply(
-    std::istringstream& in) {
-  std::vector<PassLine> passes;
-  std::string line;
-  for (;;) {
-    const std::istringstream::pos_type pos = in.tellg();
-    if (!std::getline(in, line)) {
-      ADD_FAILURE() << "stream ended inside an OPTIMIZE reply";
-      return {passes, {}};
-    }
-    if (line.rfind("PASS ", 0) != 0) {
-      in.seekg(pos);
-      return {passes, next_frame(in)};
-    }
-    PassLine p;
-    EXPECT_EQ(std::sscanf(line.c_str(), "PASS %zu wirelength=%lld overflow=%lld",
-                          &p.pass, &p.wirelength, &p.overflow),
-              3)
-        << line;
-    passes.push_back(p);
-  }
-}
-
 TEST(Protocol, OptimizeRoundTripStreamsPasses) {
   const std::string text = workload_text(12, 24, 7);
   const layout::Layout lay = io::read_layout_string(text);
@@ -840,7 +914,7 @@ TEST(Protocol, OptimizeRoundTripStreamsPasses) {
   const std::string key = serve::SessionCache::content_key(text);
 
   const std::string script =
-      "LOAD " + std::to_string(text.size()) + "\n" + text +
+      serve::load_frame(text) +
       "OPTIMIZE " + key + "\n" +
       "OPTIMIZE deadbeefdeadbeef\n" +   // unknown session
       "OPTIMIZE " + key + " frob=1\n" + // unknown option
@@ -848,7 +922,8 @@ TEST(Protocol, OptimizeRoundTripStreamsPasses) {
   std::istringstream replies(run_protocol(script));
 
   (void)next_frame(replies);  // LOAD
-  const auto [passes, frame] = next_optimize_reply(replies);
+  const Frame frame = next_frame(replies);
+  const auto& passes = frame.passes;
   ASSERT_EQ(frame.status.rfind("OK ", 0), 0u) << frame.status;
 
   // One PASS line per recorded pass, numbered from 1, and — the protocol's
@@ -857,8 +932,7 @@ TEST(Protocol, OptimizeRoundTripStreamsPasses) {
   for (std::size_t i = 0; i < passes.size(); ++i) {
     EXPECT_EQ(passes[i].pass, i + 1);
     EXPECT_EQ(passes[i].wirelength, direct.passes[i].wirelength);
-    EXPECT_EQ(static_cast<std::size_t>(passes[i].overflow),
-              direct.passes[i].overflow);
+    EXPECT_EQ(passes[i].overflow, direct.passes[i].overflow);
     if (i > 0) {
       EXPECT_LE(passes[i].wirelength, passes[i - 1].wirelength);
       EXPECT_LE(passes[i].overflow, passes[i - 1].overflow);
@@ -879,13 +953,13 @@ TEST(Protocol, OptimizeRoundTripStreamsPasses) {
   EXPECT_EQ(parsed.total_wirelength, direct.result.total_wirelength);
   EXPECT_EQ(parsed.routed, direct.result.routed);
 
-  const auto [no_passes, not_found] = next_optimize_reply(replies);
-  EXPECT_TRUE(no_passes.empty());
+  const Frame not_found = next_frame(replies);
+  EXPECT_TRUE(not_found.passes.empty());
   EXPECT_EQ(not_found.status.rfind("ERR ", 0), 0u);
   EXPECT_NE(not_found.status.find("session_not_found"), std::string::npos);
 
-  const auto [no_passes2, bad_opt] = next_optimize_reply(replies);
-  EXPECT_TRUE(no_passes2.empty());
+  const Frame bad_opt = next_frame(replies);
+  EXPECT_TRUE(bad_opt.passes.empty());
   EXPECT_EQ(bad_opt.status.rfind("ERR ", 0), 0u);
   EXPECT_NE(bad_opt.status.find("unknown option"), std::string::npos);
 
@@ -1068,9 +1142,9 @@ std::uint64_t meta_u64(const std::string& status, const std::string& key) {
 TEST(Protocol, TraceKnobEchoesSpansThatSumToTotal) {
   const std::string text(kTinyLayout);
   const std::string key = serve::SessionCache::content_key(text);
-  const std::string script = "LOAD " + std::to_string(text.size()) + "\n" +
-                             text + "ROUTE " + key + " trace=1\n" + "ROUTE " +
-                             key + "\n" + "ROUTE " + key + " trace=2\nQUIT\n";
+  const std::string script = serve::load_frame(text) + "ROUTE " + key +
+                             " trace=1\nROUTE " + key + "\nROUTE " + key +
+                             " trace=2\nQUIT\n";
   std::istringstream replies(run_protocol(script));
   (void)next_frame(replies);  // LOAD
 
@@ -1099,7 +1173,7 @@ TEST(Protocol, TraceKnobEchoesSpansThatSumToTotal) {
 TEST(Protocol, TraceVerbDumpsSlowestRequests) {
   const std::string text(kTinyLayout);
   const std::string key = serve::SessionCache::content_key(text);
-  std::string script = "LOAD " + std::to_string(text.size()) + "\n" + text;
+  std::string script = serve::load_frame(text);
   for (int i = 0; i < 3; ++i) script += "ROUTE " + key + "\n";
   script += "TRACE n=2\nTRACE\nTRACE n=0\nTRACE n=257\nTRACE frob=1\nQUIT\n";
   std::istringstream replies(run_protocol(script));
@@ -1144,9 +1218,8 @@ TEST(Protocol, TraceVerbDumpsSlowestRequests) {
 TEST(Protocol, StatsCarriesVerbShardsUptimeAndVersion) {
   const std::string text(kTinyLayout);
   const std::string key = serve::SessionCache::content_key(text);
-  const std::string script = "LOAD " + std::to_string(text.size()) + "\n" +
-                             text + "ROUTE " + key + "\nSTATS\nSTATS\n"
-                             "HELLO\nQUIT\n";
+  const std::string script = serve::load_frame(text) + "ROUTE " + key +
+                             "\nSTATS\nSTATS\nHELLO\nQUIT\n";
   std::istringstream replies(run_protocol(script));
   (void)next_frame(replies);  // LOAD
   (void)next_frame(replies);  // ROUTE

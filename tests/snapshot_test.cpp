@@ -22,6 +22,7 @@
 #include "core/search_environment.hpp"
 #include "io/text_format.hpp"
 #include "protocol_harness.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/routing_service.hpp"
 #include "serve/snapshot.hpp"
@@ -203,7 +204,7 @@ TEST(SnapshotRestore, RerouteByteIdenticalAcrossRestartWithZeroBuilds) {
     opts.snapshot_dir = dir.path.string();
     serve::RoutingService service(opts);
     const std::string script =
-        "LOAD " + std::to_string(text.size()) + "\n" + text + "PIN " + key +
+        serve::load_frame(text) + "PIN " + key +
         "\n" + "COMMIT " + std::string(kFirstHandle) + " nets=" + all_nets +
         "\nSAVE " + kFirstHandle + " soak.snap\nREROUTE " + kFirstHandle +
         " nets=" + rip + "\nQUIT\n";
@@ -360,7 +361,7 @@ TEST(PinProtocol, LifecycleOverTheWire) {
   serve::RoutingService service(opts);
   const std::string handle(kFirstHandle);
   const std::string script =
-      "LOAD " + std::to_string(text.size()) + "\n" + text + "PIN " + key +
+      serve::load_frame(text) + "PIN " + key +
       "\n" + "PIN " + handle + "\n" +      // idempotent re-claim
       "COMMIT " + handle + " nets=" + n0 + "\n" +
       "UNCOMMIT " + handle + " nets=" + n0 + "\n" +
@@ -407,16 +408,6 @@ TEST(PinProtocol, LifecycleOverTheWire) {
   EXPECT_EQ(snap.pins_released, 1u);
 }
 
-/// The value of `key=` in a status line's meta, or "" when absent.
-std::string meta_value(const std::string& status, const std::string& key) {
-  std::istringstream is(status);
-  std::string word;
-  while (is >> word) {
-    if (word.rfind(key + "=", 0) == 0) return word.substr(key.size() + 1);
-  }
-  return std::string();
-}
-
 // COMMIT of every net, in netlist order, on a fresh pin routes exactly like
 // a sequential ROUTE of the same layout: later nets see earlier nets' wire
 // halos, and a net whose pin a halo swallowed fails without a search.
@@ -434,7 +425,7 @@ TEST(PinProtocol, CommitAllRoutesLikeSequentialRoute) {
   opts.workers = 1;
   serve::RoutingService service(opts);
   const std::string script =
-      "LOAD " + std::to_string(text.size()) + "\n" + text + "ROUTE " + key +
+      serve::load_frame(text) + "ROUTE " + key +
       " mode=sequential\nPIN " + key + "\nCOMMIT " + kFirstHandle +
       " nets=" + all_nets + "\nQUIT\n";
   std::istringstream replies(run_script(service, script));
@@ -449,14 +440,14 @@ TEST(PinProtocol, CommitAllRoutesLikeSequentialRoute) {
 
   EXPECT_EQ(commit.body, route.body);
   for (const char* k : {"routed", "failed", "wirelength"}) {
-    EXPECT_FALSE(meta_value(route.status, k).empty()) << k;
-    EXPECT_EQ(meta_value(commit.status, k), meta_value(route.status, k))
+    EXPECT_FALSE(serve::meta_token(route.status, k).empty()) << k;
+    EXPECT_EQ(serve::meta_token(commit.status, k), serve::meta_token(route.status, k))
         << k << ": COMMIT " << commit.status << " vs ROUTE " << route.status;
   }
   // The layout is dense enough that committed halos block later nets, so
   // the comparison covers the swallowed-pin case.
-  EXPECT_NE(meta_value(route.status, "failed"), "0") << route.status;
-  EXPECT_EQ(meta_value(commit.status, "committed"),
+  EXPECT_NE(serve::meta_token(route.status, "failed"), "0") << route.status;
+  EXPECT_EQ(serve::meta_token(commit.status, "committed"),
             std::to_string(lay.nets().size()));
 }
 
@@ -516,8 +507,7 @@ TEST(PinProtocol, DisconnectAutoReleases) {
   // The connection ends (EOF) without UNPIN; closing it must release the
   // pin through the owner token.
   const std::string script =
-      "LOAD " + std::to_string(text.size()) + "\n" + text + "PIN " + key +
-      "\n";
+      serve::load_frame(text) + "PIN " + key + "\n";
   std::istringstream replies(run_script(service, script));
   (void)next_frame(replies);
   const Frame pin = next_frame(replies);
